@@ -67,16 +67,17 @@ def channel_mean_pool(tape, feature_map):
 def channel_attention(tape, channel_means, question, params):
     """Score every channel against the question and normalize.
 
-    The channel means are embedded elementwise, the question is projected to
-    the attention space, their outer product is squashed with tanh, and each
-    channel's row of the resulting (D, h_a) map is reduced to a scalar score.
-    Softmax over the D scores yields the channel weights.
+    The channel means are embedded elementwise and the question is projected
+    to the attention space. Their products squashed with tanh define a joint
+    (D, h_a) map, ``tanh(vis[d] * query[j])``, and each channel's row of it is
+    reduced to a scalar score with ``w_score``. ``tensor.channel_scores``
+    computes the scores tile by tile, so the joint map is defined but never
+    materialized. Softmax over the D scores yields the channel weights.
     """
     vis = T.add_vec(tape, T.mul_vec(tape, channel_means, params.vis_scale),
                     params.vis_shift)
     query = T.affine(tape, question, params.w_question, params.b_question)
-    joint = T.tanh(tape, T.outer(tape, vis, query))
-    scores = T.add_scalar(tape, T.matvec_last(tape, joint, params.w_score),
+    scores = T.add_scalar(tape, T.channel_scores(tape, vis, query, params.w_score),
                           params.b_score)
     return T.softmax(tape, scores)
 

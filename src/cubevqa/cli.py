@@ -81,19 +81,16 @@ def cmd_synth(args):
 # shared loading
 
 
-def _load_prepared(data_dir, max_question_len=26):
+def _load_prepared(data_dir, splits=("train", "test"), max_question_len=26):
+    """One ``PreparedDataset`` per named split; other splits are not read."""
     container = data.load_features(os.path.join(data_dir, "features.cvaf"))
     question_vocab = data.load_vocab(os.path.join(data_dir, "question_vocab.txt"))
     answer_vocab = data.load_vocab(os.path.join(data_dir, "answer_vocab.txt"))
-    train_examples = data.load_examples(os.path.join(data_dir, "train.txt"),
-                                        num_answers=len(answer_vocab))
-    test_examples = data.load_examples(os.path.join(data_dir, "test.txt"),
-                                       num_answers=len(answer_vocab))
-    train_set = data.prepare_dataset(container, train_examples, question_vocab,
-                                     answer_vocab, max_question_len)
-    test_set = data.prepare_dataset(container, test_examples, question_vocab,
-                                    answer_vocab, max_question_len)
-    return train_set, test_set, container
+    examples = [data.load_examples(os.path.join(data_dir, f"{split}.txt"),
+                                   num_answers=len(answer_vocab)) for split in splits]
+    return [data.prepare_dataset(container, split_examples, question_vocab,
+                                 answer_vocab, max_question_len)
+            for split_examples in examples]
 
 
 def _train_config(args):
@@ -133,7 +130,7 @@ def cmd_train(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     config = _train_config(args)
     variant = canonical_variant(args.variant)
-    train_set, test_set, _ = _load_prepared(args.data)
+    train_set, test_set = _load_prepared(args.data)
     model_config = _model_config(variant, train_set, config,
                                  literal_spatial=args.literal_spatial)
     vqa_model = VqaModel(model_config, seed=config.seed)
@@ -190,9 +187,8 @@ def cmd_eval(args):
     model_config = ModelConfig(**manifest["model"])
     vqa_model = VqaModel(model_config, seed=manifest.get("seed", 0))
     training.restore_checkpoint(vqa_model.store, args.checkpoint)
-    train_set, test_set, _ = _load_prepared(args.data,
-                                            model_config.max_question_len)
-    dataset = train_set if args.split == "train" else test_set
+    (dataset,) = _load_prepared(args.data, (args.split,),
+                                model_config.max_question_len)
     taxonomy = metrics.Taxonomy.load(args.taxonomy) if args.taxonomy else None
     report = metrics.evaluate(vqa_model, dataset, taxonomy=taxonomy)
     sys.stdout.write(report.to_text())
@@ -254,8 +250,7 @@ def cmd_ablate(args):
     datasets = {}
     for data_dir in args.data:
         name = os.path.basename(os.path.normpath(data_dir))
-        train_set, test_set, _ = _load_prepared(data_dir)
-        datasets[name] = (train_set, test_set)
+        datasets[name] = tuple(_load_prepared(data_dir))
     results = run_ablation(datasets, config, args.seeds,
                            literal_spatial=args.literal_spatial, log=print)
     text, csv = ablation_table(results, list(datasets))

@@ -318,7 +318,7 @@ def affine(tape, x, w, b=None):
     def backward(g):
         _accum(x, g @ w.value)
         if x.value.ndim == 1:
-            _accum(w, np.outer(g, x.value))
+            _accum(w, g[:, None] * x.value)
             if b is not None:
                 _accum(b, g)
         else:
@@ -378,26 +378,82 @@ def matvec_last(tape, m, v):
     return _make(tape, value, backward)
 
 
-def outer(tape, a, b):
-    """Outer product of two vectors, ``out[i, j] = a[i] * b[j]``.
+# entries of the (..., D, h) tanh map the channel scorer holds at once (2 MB)
+SCORE_TILE = 1 << 18
 
-    Batched form maps ``(B, m) x (B, n) -> (B, m, n)``.
+
+def _score_tiles(batch, channels, width):
+    """Cover the ``(batch, channels, width)`` map with tiles of <= SCORE_TILE entries.
+
+    Returns ``(examples, channels)`` slice pairs: whole examples while one
+    fits in a tile, otherwise channel slices of a single example.
     """
-    if a.value.size == 0 or b.value.size == 0:
-        raise InvalidArgumentError("outer: operands must be nonempty")
-    if a.value.ndim != b.value.ndim or a.value.ndim not in (1, 2):
-        raise ShapeError(f"outer: shapes {a.value.shape} and {b.value.shape} incompatible")
-    if a.value.ndim == 2 and a.value.shape[0] != b.value.shape[0]:
+    per_example = channels * width
+    if per_example <= SCORE_TILE:
+        step = SCORE_TILE // per_example
+        return [(slice(b0, min(b0 + step, batch)), slice(0, channels))
+                for b0 in range(0, batch, step)]
+    step = max(SCORE_TILE // width, 1)
+    return [(slice(b, b + 1), slice(d0, min(d0 + step, channels)))
+            for b in range(batch) for d0 in range(0, channels, step)]
+
+
+def channel_scores(tape, vis, query, w):
+    """``out[..., d] = sum_j w[j] * tanh(vis[..., d] * query[..., j])``.
+
+    ``vis`` is ``(D,)`` with ``query`` ``(h,)``, or a batch ``(B, D)`` with
+    ``(B, h)``; ``w`` is ``(h,)``. The joint ``(..., D, h)`` tanh map is
+    worked through in tiles of at most ``SCORE_TILE`` entries and never
+    stored: the backward recomputes each tile's tanh in one scratch buffer.
+    """
+    vv, qv, wv = vis.value, query.value, w.value
+    if (vv.ndim not in (1, 2) or qv.ndim != vv.ndim or vv.shape[:-1] != qv.shape[:-1]
+            or wv.shape != qv.shape[-1:]):
         raise ShapeError(
-            f"outer: batch sizes differ, {a.value.shape} vs {b.value.shape}")
-    value = a.value[..., :, None] * b.value[..., None, :]
+            f"channel_scores: visual {vv.shape}, query {qv.shape} and weights "
+            f"{wv.shape} do not fit")
+    if vv.size == 0 or qv.size == 0:
+        raise InvalidArgumentError("channel_scores: operands must be nonempty")
+    # one code path for both forms: a vector is a batch of one row
+    width = wv.shape[0]
+    v2 = vv.reshape(-1, vv.shape[-1])
+    q2 = qv.reshape(-1, width)
+    tiles = _score_tiles(v2.shape[0], v2.shape[1], width)
+
+    def tanh_tile(scratch, rows, cols):
+        vt, qt = v2[rows, cols], q2[rows]
+        buf = scratch[:vt.size * width].reshape(vt.shape + (width,))
+        np.multiply(vt[:, :, None], qt[:, None, :], out=buf)
+        return np.tanh(buf, out=buf)
+
+    scratch = np.empty(min(SCORE_TILE, v2.size * width))
+    value = np.empty(v2.shape)
+    for rows, cols in tiles:
+        t = tanh_tile(scratch, rows, cols)
+        value[rows, cols] = np.matmul(t, wv)
+    value = value.reshape(vv.shape)
 
     if tape is None:
         return Tensor(value)
 
     def backward(g):
-        _accum(a, (g * b.value[..., None, :]).sum(axis=-1))
-        _accum(b, (g * a.value[..., :, None]).sum(axis=-2))
+        g2 = g.reshape(v2.shape)
+        wq = q2 * wv   # w[j] q[j], the query side of d vis
+        gv = g2 * v2   # g[d] vis[d], the visual side of d query
+        d_vis = np.empty(v2.shape)
+        d_query = np.zeros(q2.shape)
+        d_w = np.zeros(width)
+        scratch = np.empty(min(SCORE_TILE, v2.size * width))
+        for rows, cols in tiles:
+            t = tanh_tile(scratch, rows, cols)
+            d_w += g2[rows, cols].reshape(-1) @ t.reshape(-1, width)
+            np.multiply(t, t, out=t)
+            u = np.subtract(1.0, t, out=t)   # tanh' of the tile
+            d_vis[rows, cols] = g2[rows, cols] * np.matmul(u, wq[rows, :, None])[..., 0]
+            d_query[rows] += np.matmul(gv[rows, None, cols], u)[:, 0, :]
+        _accum(vis, d_vis.reshape(vv.shape))
+        _accum(query, (d_query * wv).reshape(qv.shape))
+        _accum(w, d_w)
 
     return _make(tape, value, backward)
 

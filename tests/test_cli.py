@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ def test_eval_with_taxonomy(trained_run, tiny_dataset, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "wups@0.9" in out and "wups@0.0" in out
+
+
+def test_eval_reads_only_the_scored_split(trained_run, tiny_dataset, tmp_path, capsys):
+    checkpoint = os.path.join(trained_run, "checkpoint.cvac")
+    csv_path = str(tmp_path / "r.csv")
+    assert run(["eval", "--checkpoint", checkpoint, "--data", tiny_dataset,
+                "--split", "test", "--csv", csv_path]) == 0
+    full = capsys.readouterr().out, open(csv_path).read()
+    test_only = str(tmp_path / "test_only")
+    shutil.copytree(tiny_dataset, test_only)
+    os.remove(os.path.join(test_only, "train.txt"))
+    assert run(["eval", "--checkpoint", checkpoint, "--data", test_only,
+                "--split", "test", "--csv", csv_path]) == 0
+    assert (capsys.readouterr().out, open(csv_path).read()) == full
 
 
 def test_eval_architecture_mismatch(trained_run, tmp_path, capsys):

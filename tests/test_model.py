@@ -1,11 +1,15 @@
 """Model assembly: variants, initialization sharing, batched equivalence."""
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cubevqa
 import cubevqa.tensor as T
 from cubevqa.model import (Batch, DIMENSION_PROFILES, ModelConfig, VqaModel,
                            canonical_variant)
@@ -115,6 +119,30 @@ def test_mixed_region_counts_in_one_step():
     assert labels.shape == (5,)
 
 
+def test_desk_cva_step_never_holds_the_joint_channel_map(monkeypatch):
+    # the channel scorer's (B, D, h_a) tanh map is worked through in tiles,
+    # so no node of a training step's tape holds that many values
+    config = ModelConfig.from_profile("desk", variant="cva", vocab_size=11,
+                                      num_answers=7, feat_dim=32)
+    model = VqaModel(config, seed=6)
+    batch = make_batch(config, batch=16, k=6)
+    tapes = []
+
+    class RecordingTape(T.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(T, "Tape", RecordingTape)
+    model.train_step_forward_backward([batch])
+    joint = batch.labels.size * config.feat_dim * config.attn_dim
+    (tape,) = tapes
+    assert len(tape) > 0
+    for node in tape._nodes:
+        assert node.value.size < joint
+        assert node.grad is None or node.grad.size < joint
+
+
 def test_dimension_profiles():
     assert DIMENSION_PROFILES["full"]["hidden_dim"] == 1024
     config = ModelConfig.from_profile("full", variant="cva", vocab_size=50,
@@ -148,3 +176,46 @@ def test_full_scale_forward_backward_one_step():
     readout = model.attention_readout(batch.features[0], batch.token_ids[0])
     assert readout.channel_weights.value.shape == (2048,)
     assert readout.spatial_weights.value.shape == (36,)
+
+
+# one training step of the documented full configuration (profile ``full``,
+# TrainConfig's defaults, batch 256), run after capping the address space
+# at argv[1] bytes; prints the loss and the peak RSS in KiB
+_FULL_BATCH_STEP = """
+import resource, sys
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import numpy as np
+from cubevqa import training
+from cubevqa.model import Batch, ModelConfig, VqaModel
+config = training.TrainConfig(profile="full")
+model = VqaModel(ModelConfig.from_profile("full", variant="cva", vocab_size=1000,
+                                          num_answers=2000, feat_dim=2048), seed=0)
+rng = training.substream(0, "full-batch")
+b = config.batch_size
+batch = Batch(features=rng.uniform(-1, 1, (b, 36, 2048)),
+              token_ids=rng.integers(0, 1000, size=(b, 8)),
+              lengths=np.full(b, 8), labels=rng.integers(0, 2000, size=b))
+loss, _, _ = model.train_step_forward_backward(
+    [batch], dropout_rate=config.dropout,
+    dropout_rng=training.substream(0, "dropout", 0))
+training.clip_gradients(model.store, config.clip_norm)
+training.adam_step(model.store, config)
+print(loss, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+def test_full_profile_default_batch_step_fits_in_memory():
+    # a fresh child process, so that its peak RSS is the step's own; the
+    # 4 GiB address-space cap makes a regression fail with MemoryError
+    # instead of exhausting the machine
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cubevqa.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FULL_BATCH_STEP, str(4 << 30)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loss, peak_kib = proc.stdout.split()
+    assert np.isfinite(float(loss))
+    assert int(peak_kib) <= 2.5 * 2**20, f"peak RSS {int(peak_kib) / 1024:.0f} MiB"

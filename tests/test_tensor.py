@@ -66,30 +66,47 @@ def test_softmax_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# outer product
+# channel scores
 
 
-def test_outer_hand_case():
-    out = T.outer(None, leaf([1.0, 2.0]), leaf([3.0, 4.0]))
-    npt.assert_array_equal(out.value, [[3.0, 4.0], [6.0, 8.0]])
+def _channel_scores_oracle(vis, query, w, g):
+    """Value and gradients of the plain numpy composition, for upstream ``g``."""
+    t = np.tanh(vis[..., :, None] * query[..., None, :])
+    value = t @ w
+    s = g[..., None] * w * (1.0 - t * t)
+    d_w = (g[..., None] * t).reshape(-1, w.size).sum(axis=0)
+    return value, (s * query[..., None, :]).sum(axis=-1), (s * vis[..., None]).sum(axis=-2), d_w
 
 
-def test_outer_zero_vector():
-    out = T.outer(None, leaf([0.0, 0.0, 0.0]), leaf([1.0, -2.0]))
-    npt.assert_array_equal(out.value, np.zeros((3, 2)))
+@pytest.mark.parametrize("vis_shape,query_shape", [
+    ((130, 32), (130, 64)),   # 128 examples fill a tile, then a short tile of 2
+    ((2, 300), (2, 1024)),    # each example splits into 256 channels and a short 44
+    ((6,), (4,)),             # vector form
+], ids=["examples-per-tile", "channels-per-tile", "vector"])
+def test_channel_scores_match_numpy_composition(vis_shape, query_shape):
+    rng = np.random.default_rng(vis_shape[0])
+    vis, query = rng.standard_normal(vis_shape), rng.standard_normal(query_shape)
+    w, g = rng.standard_normal(query_shape[-1]), rng.standard_normal(vis_shape)
+    tape = Tape()
+    leaves = leaf(vis), leaf(query), leaf(w)
+    out = T.channel_scores(tape, *leaves)
+    # mean_all divides the upstream gradient by the entry count
+    tape.backward(T.mean_all(tape, T.mul(tape, out, constant(g * g.size))))
+    expected = _channel_scores_oracle(vis, query, w, g)
+    for got, want in zip((out.value,) + tuple(l.grad for l in leaves), expected):
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_outer_transpose_symmetry():
-    rng = np.random.default_rng(2)
-    a, b = rng.standard_normal(4), rng.standard_normal(6)
-    ab = T.outer(None, leaf(a), leaf(b)).value
-    ba = T.outer(None, leaf(b), leaf(a)).value
-    npt.assert_array_equal(ab.T, ba)
-
-
-def test_outer_rejects_empty():
+def test_channel_scores_rejects_bad_shapes():
+    w = leaf(np.ones(4))
+    with pytest.raises(ShapeError):  # batch sizes differ
+        T.channel_scores(None, leaf(np.ones((2, 3))), leaf(np.ones((3, 4))), w)
+    with pytest.raises(ShapeError):  # w does not match the query width
+        T.channel_scores(None, leaf(np.ones((2, 3))), leaf(np.ones((2, 4))), leaf(np.ones(5)))
+    with pytest.raises(ShapeError):  # more than two dimensions
+        T.channel_scores(None, leaf(np.ones((2, 2, 3))), leaf(np.ones((2, 2, 4))), w)
     with pytest.raises(InvalidArgumentError):
-        T.outer(None, leaf([]), leaf([1.0]))
+        T.channel_scores(None, leaf([]), leaf(np.ones(4)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +293,8 @@ def _fd_for(op_builder, arrays, eps=1e-6):
 
 
 @pytest.mark.parametrize("case", [
-    "affine", "rows_affine", "matvec_last", "outer", "softmax", "mean_over_rows",
+    "affine", "rows_affine", "matvec_last", "channel_scores", "channel_scores_batch",
+    "softmax", "mean_over_rows",
     "weighted_row_sum", "scale_rows", "add_vec", "mul_vec", "add_scalar",
     "mul", "add", "one_minus", "tanh", "sigmoid", "scale", "cross_entropy",
     "embedding", "gru_cell",
@@ -291,7 +309,10 @@ def test_primitive_gradients_match_finite_differences(case):
                         [v((5, 3)), v((4, 3)), v(4)]),
         "matvec_last": (lambda t, l: T.matvec_last(t, l[0], l[1]),
                         [v((5, 3)), v(3)]),
-        "outer": (lambda t, l: T.outer(t, l[0], l[1]), [v(4), v(3)]),
+        "channel_scores": (lambda t, l: T.channel_scores(t, l[0], l[1], l[2]),
+                           [v(4), v(3), v(3)]),
+        "channel_scores_batch": (lambda t, l: T.channel_scores(t, l[0], l[1], l[2]),
+                                 [v((2, 4)), v((2, 3)), v(3)]),
         "softmax": (lambda t, l: T.mul(t, T.softmax(t, l[0]), l[1]), [v(6), v(6)]),
         "mean_over_rows": (lambda t, l: T.mean_over_rows(t, l[0]), [v((4, 3))]),
         "weighted_row_sum": (lambda t, l: T.weighted_row_sum(t, l[0], l[1], 0.25),
