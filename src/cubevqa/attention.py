@@ -11,9 +11,9 @@ mechanisms condition on a question encoding ``Q``:
   (equivariant to region order).
 
 Four pipelines compose them: channel-then-spatial stacking, the reversed
-stacking, and the two single-attention ablations. All functions accept a
-batched map ``(B, K, D)`` with ``Q`` of shape ``(B, H)`` as well as the
-single-instance shapes.
+stacking, and the two single-attention ablations. The models pass a
+batched map ``(B, K, D)`` with ``Q`` of shape ``(B, H)``; the functions also
+accept one instance without the batch axis.
 """
 
 from dataclasses import dataclass
@@ -134,7 +134,7 @@ def spatial_attention(tape, feature_map, question, params, tanh_after_sum=False)
     which lets the question reorder the region scores; trained models default
     to this form (see ``model.ModelConfig``).
     """
-    vis = T.rows_affine(tape, feature_map, params.w_visual, params.b_visual)
+    vis = T.affine(tape, feature_map, params.w_visual, params.b_visual)
     query = T.affine(tape, question, params.w_question, params.b_question)
     if tanh_after_sum:
         joint = T.tanh(tape, T.add_vec(tape, vis, query))

@@ -8,8 +8,6 @@ log-sum-exp form so that large vocabularies cannot overflow.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .tensor import Tensor
 
@@ -30,17 +28,6 @@ class ClassifierParams:
     b_out: Tensor
 
 
-@dataclass
-class AnswerDistribution:
-    """Softmax probabilities over the answer vocabulary plus the argmax.
-
-    Ties in the argmax resolve to the lowest index.
-    """
-
-    probabilities: np.ndarray
-    top_index: int
-
-
 def answer_scores(tape, visual, question, params, dropout_mask=None):
     """Pre-softmax answer scores; ``dropout_mask`` gates the hidden layer.
 
@@ -56,14 +43,7 @@ def answer_scores(tape, visual, question, params, dropout_mask=None):
     return T.affine(tape, hidden, params.w_out, params.b_out)
 
 
-def predict_answer(visual, question, params):
-    """Evaluation-mode answer distribution for a single instance."""
-    scores = answer_scores(None, visual, question, params)
-    probs = T.softmax(None, scores).value
-    return AnswerDistribution(probabilities=probs, top_index=int(np.argmax(probs)))
-
-
-def answer_loss(tape, scores, label):
-    """Cross-entropy of the labeled answer; scalar for one instance,
-    per-example vector for a batch."""
-    return T.cross_entropy(tape, scores, label)
+def answer_loss(tape, scores, labels):
+    """Per-example cross-entropy of the labeled answers: ``(B, A)`` scores
+    and ``(B,)`` labels give a ``(B,)`` loss vector."""
+    return T.cross_entropy(tape, scores, labels)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data, metrics, model, training
 from . import tensor as T
-from .model import ModelConfig, VqaModel, VARIANT_LABELS, canonical_variant
+from .model import Batch, ModelConfig, VqaModel, VARIANT_LABELS, canonical_variant
 from .tensor import InvalidArgumentError, ShapeError, VocabularyError
 from .training import TrainConfig, apply_overrides, substream
 
@@ -184,8 +184,12 @@ def cmd_eval(args):
         raise data.FormatError(f"no manifest.json next to checkpoint {args.checkpoint}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    model_config = ModelConfig(**manifest["model"])
-    vqa_model = VqaModel(model_config, seed=manifest.get("seed", 0))
+    try:
+        model_config = ModelConfig(**manifest["model"])
+    except (KeyError, TypeError) as err:
+        raise data.FormatError(f"{manifest_path}: bad \"model\" entry: {err!r}") from None
+    # every value is restored from the checkpoint, so the seed is irrelevant
+    vqa_model = VqaModel(model_config)
     training.restore_checkpoint(vqa_model.store, args.checkpoint)
     (dataset,) = _load_prepared(args.data, (args.split,),
                                 model_config.max_question_len)
@@ -279,20 +283,21 @@ def gradcheck_model(variant, seed, literal_spatial=False, eps=1e-5):
     token_ids = rng.integers(0, config.vocab_size, size=3)
     label = int(rng.integers(0, config.num_answers))
 
-    leaves = vqa_model.leaves()
-    tape = T.Tape()
-    loss = vqa_model.instance_loss(tape, features, token_ids, label, leaves=leaves)
-    tape.backward(loss)
-    grads = {name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
-             for name, leaf in leaves.items()}
+    batch = Batch(features=features[None], token_ids=token_ids[None],
+                  lengths=np.array([token_ids.size]), labels=np.array([label]))
 
-    # the probe evaluations share one set of leaf tensors: they alias the
-    # store arrays, so in-place perturbations are visible without rebuilding
+    tape = T.Tape()
+    loss, _ = vqa_model.batch_loss(tape, batch, vqa_model.leaves())
+    tape.backward(loss)
+    grads = {name: vqa_model.store[name].grad for name in vqa_model.store.names()}
+
+    # the probe evaluations share one batch and one set of leaf tensors: the
+    # leaves alias the store arrays, so in-place perturbations are visible
+    # without rebuilding
     eval_leaves = vqa_model.leaves()
 
     def f():
-        return float(vqa_model.instance_loss(None, features, token_ids, label,
-                                             leaves=eval_leaves).value)
+        return float(vqa_model.batch_loss(None, batch, eval_leaves)[0].value)
 
     return T.finite_difference_check(f, vqa_model.store.values(), grads, eps=eps)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import InvalidArgumentError
-from .training import substream
+from .training import ByteReader, substream
 
 UNKNOWN_TOKEN = "<unk>"
 HUMAN_ANSWERS_PER_QUESTION = 10
@@ -113,32 +113,20 @@ def write_features(container, path):
 def load_features(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    offset = 0
-
-    def take(count, what):
-        nonlocal offset
-        if offset + count > len(data):
-            raise FormatError(f"{path}: truncated while reading {what} at byte {offset}")
-        chunk = data[offset:offset + count]
-        offset += count
-        return chunk
-
-    if take(4, "magic") != _FEATURE_MAGIC:
+    reader = ByteReader(data, path, FormatError)
+    if reader.take(4, "magic") != _FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0")
-    version = struct.unpack("<I", take(4, "version"))[0]
+    (version,) = reader.unpack("<I", "version")
     if version != _FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    count = struct.unpack("<I", take(4, "record count"))[0]
+    (count,) = reader.unpack("<I", "record count")
     container = FeatureContainer()
     for _ in range(count):
-        id_len = struct.unpack("<H", take(2, "id length"))[0]
-        image_id = take(id_len, "image id").decode("utf-8")
-        k, d = struct.unpack("<II", take(8, f"dimensions of {image_id!r}"))
-        payload = take(k * d * 4, f"features of {image_id!r}")
-        features = np.frombuffer(payload, dtype="<f4").reshape(k, d)
-        container.add(image_id, features)
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes at {offset}")
+        image_id = reader.name("image id")
+        k, d = reader.unpack("<II", f"dimensions of {image_id!r}")
+        payload = reader.take(k * d * 4, f"features of {image_id!r}")
+        container.add(image_id, np.frombuffer(payload, dtype="<f4").reshape(k, d))
+    reader.finish()
     return container
 
 
@@ -402,17 +390,18 @@ class PreparedDataset:
     def gather(self, indices):
         """Stack the selected examples into batches grouped by region count.
 
-        Token ids pad with zeros to the longest question in each group; the
-        encoder captures each example's state at its true length, so padding
-        never changes the encoding.
+        Groups come in order of first appearance, and each batch records its
+        examples' dataset positions in ``indices``. Token ids pad with zeros
+        to the longest question in each group; the encoder carries each
+        example's state past its true length, so padding never changes the
+        encoding.
         """
         from .model import Batch
         groups = {}
         for i in indices:
             groups.setdefault(self.features[int(i)].shape[0], []).append(int(i))
         batches = []
-        for k in groups:
-            chosen = groups[k]
+        for chosen in groups.values():
             t_max = max(self.token_ids[i].size for i in chosen)
             ids = np.zeros((len(chosen), t_max), dtype=np.int64)
             lengths = np.zeros(len(chosen), dtype=np.int64)
@@ -422,7 +411,8 @@ class PreparedDataset:
             batches.append(Batch(
                 features=np.stack([self.features[i] for i in chosen]),
                 token_ids=ids, lengths=lengths,
-                labels=np.array([self.labels[i] for i in chosen], dtype=np.int64)))
+                labels=np.array([self.labels[i] for i in chosen], dtype=np.int64),
+                indices=chosen))
         return batches
 
 

@@ -58,33 +58,16 @@ def validate_tokens(token_ids, vocab_size, max_len):
     return ids
 
 
-def embed_tokens(tape, params, token_ids):
-    """Look up the embedding vector for each token, one node per position."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    return [T.embedding_lookup(tape, params.embed, ids[t]) for t in range(ids.size)]
-
-
-def gru_step(tape, params, x_t, h_prev):
-    """One GRU update; works on vectors ``(E,)/(H,)`` or batches ``(B, E)/(B, H)``.
+def gru_step(tape, params, x_t, h_prev, active):
+    """One GRU update of a batch ``(B, E)/(B, H)``; rows outside the ``(B,)``
+    mask ``active`` keep their state.
 
     Records a single tape node (``tensor.gru_cell``) per time step.
     """
-    return T.gru_cell(tape, x_t, h_prev,
+    return T.gru_cell(tape, x_t, h_prev, active,
                       params.w_update, params.u_update, params.b_update,
                       params.w_reset, params.u_reset, params.b_reset,
                       params.w_cand, params.u_cand, params.b_cand)
-
-
-def encode_question(tape, params, token_ids):
-    """Fold ``gru_step`` over a single question and return the final state."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise InvalidArgumentError("encode_question: empty token sequence")
-    hidden = params.b_update.value.shape[0]
-    h = T.constant(np.zeros(hidden))
-    for x_t in embed_tokens(tape, params, ids):
-        h = gru_step(tape, params, x_t, h)
-    return h
 
 
 def encode_questions_batch(tape, params, token_ids, lengths):
@@ -92,9 +75,10 @@ def encode_questions_batch(tape, params, token_ids, lengths):
 
     ``token_ids`` is ``(B, T_max)`` padded arbitrarily past each question's
     length; ``lengths`` gives the true length per row. The recurrence runs for
-    ``T_max`` steps and each example's state is captured at its own final
-    step, so padding never influences the returned encodings (the GRU is
-    causal and the capture masks discard later steps).
+    ``T_max`` steps, and a row whose question has ended carries its state
+    forward unchanged, so the returned ``(B, H)`` state is each question's
+    final state and padding never influences it. One question is a batch of
+    one. Records two tape nodes per step: the embedding lookup and the cell.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -105,11 +89,7 @@ def encode_questions_batch(tape, params, token_ids, lengths):
         raise InvalidArgumentError("lengths must be in [1, T_max] for every example")
     hidden = params.b_update.value.shape[0]
     h = T.constant(np.zeros((batch, hidden)))
-    encoding = None
     for t in range(t_max):
         x_t = T.embedding_lookup(tape, params.embed, ids[:, t])
-        h = gru_step(tape, params, x_t, h)
-        pick = T.constant((lengths == t + 1).astype(np.float64))
-        picked = T.scale_rows(tape, h, pick)
-        encoding = picked if encoding is None else T.add(tape, encoding, picked)
-    return encoding
+        h = gru_step(tape, params, x_t, h, lengths > t)
+    return h

@@ -144,19 +144,6 @@ def wups_score(predictions, ground_truths, taxonomy, threshold):
     return total / len(predictions)
 
 
-def multiple_choice_pick(distribution, choices):
-    """Most probable answer among the offered choices; ties pick the lowest
-    index."""
-    if not choices:
-        raise InvalidArgumentError("multiple_choice_pick: no choices offered")
-    probs = distribution.probabilities
-    for choice in choices:
-        if not 0 <= choice < probs.shape[0]:
-            raise InvalidArgumentError(
-                f"choice {choice} outside answer vocabulary of size {probs.shape[0]}")
-    return min(choices, key=lambda c: (-probs[c], c))
-
-
 # ---------------------------------------------------------------------------
 # dataset-level evaluation
 
@@ -220,16 +207,12 @@ def evaluate(vqa_model, dataset, taxonomy=None, batch_size=64):
     n = dataset.size()
     if n == 0:
         raise InvalidArgumentError("evaluate: dataset is empty")
-    answers = dataset.answer_vocab
-    predicted_strings = []
+    preds = [None] * n
     for start in range(0, n, batch_size):
-        for group_batch, idx in _grouped_with_indices(dataset, start,
-                                                      min(start + batch_size, n)):
-            scores = vqa_model.predict_batch(group_batch)
-            for row, i in enumerate(idx):
-                predicted_strings.append((i, answers[int(np.argmax(scores[row]))]))
-    predicted_strings.sort()
-    preds = [s for _, s in predicted_strings]
+        for batch in dataset.gather(range(start, min(start + batch_size, n))):
+            best = np.argmax(vqa_model.predict_batch(batch), axis=-1)
+            for i, answer in zip(batch.indices, best):
+                preds[i] = dataset.answer_vocab[int(answer)]
     scores_per_example = []
     per_type = {}
     for i, ex in enumerate(dataset.examples):
@@ -250,16 +233,3 @@ def evaluate(vqa_model, dataset, taxonomy=None, batch_size=64):
     else:
         report.notes.append("no taxonomy supplied; WUPS omitted")
     return report
-
-
-def _grouped_with_indices(dataset, start, stop):
-    """Batches for a contiguous index range, keeping original positions."""
-    indices = list(range(start, stop))
-    groups = {}
-    for i in indices:
-        groups.setdefault(dataset.features[i].shape[0], []).append(i)
-    for k in groups:
-        chosen = groups[k]
-        batches = dataset.gather(chosen)
-        # gather() groups by K, and `chosen` shares one K, so one batch returns
-        yield batches[0], chosen

@@ -91,6 +91,7 @@ class Batch:
     token_ids: np.ndarray  # (B, T_max) int64, padded with 0 past each length
     lengths: np.ndarray    # (B,) int64
     labels: np.ndarray     # (B,) int64
+    indices: list = None   # dataset position of each row, set by ``gather``
 
 
 class VqaModel:
@@ -138,8 +139,15 @@ class VqaModel:
     # -- parameter views ----------------------------------------------------
 
     def leaves(self):
-        """Fresh leaf tensors sharing storage with the parameter arrays."""
-        return {name: Tensor(self.store[name].value) for name in self.store.names()}
+        """Fresh leaf tensors over the store's arena: each leaf's ``grad`` is
+        its parameter's gradient view, so a backward pass accumulates straight
+        into the store."""
+        leaves = {}
+        for name in self.store.names():
+            p = self.store[name]
+            leaves[name] = leaf = Tensor(p.value)
+            leaf.grad = p.grad
+        return leaves
 
     def _groups(self, leaves):
         enc = encoder.EncoderParams(
@@ -191,43 +199,26 @@ class VqaModel:
             rescale_channel_gains=cfg.rescale_channel_gains,
             gain_strength=cfg.channel_gain_strength)
 
-    def forward_instance(self, tape, features, token_ids, leaves=None,
-                         dropout_mask_array=None):
-        """Scores for one (K, D) map and one token sequence.
-
-        Returns ``(scores, question, readout)``; pass ``leaves`` to reuse one
-        set of leaf tensors across calls recorded on the same tape.
-        """
-        ids = encoder.validate_tokens(token_ids, self.config.vocab_size,
-                                      self.config.max_question_len)
-        leaves = leaves if leaves is not None else self.leaves()
-        enc, chan, spat, clf = self._groups(leaves)
-        question = encoder.encode_question(tape, enc, ids)
-        attended, readout = self._attend(tape, T.constant(features), question,
-                                         chan, spat)
-        mask = T.constant(dropout_mask_array) if dropout_mask_array is not None else None
-        scores = classifier.answer_scores(tape, attended, question, clf,
-                                          dropout_mask=mask)
-        return scores, question, readout
-
-    def instance_loss(self, tape, features, token_ids, label, leaves=None):
-        """Scalar training loss for one example (no dropout)."""
-        scores, _, _ = self.forward_instance(tape, features, token_ids, leaves=leaves)
-        return classifier.answer_loss(tape, scores, int(label))
-
-    def _forward_batch(self, tape, batch, leaves, drop_rate=0.0, drop_rng=None):
+    def _forward_batch(self, tape, batch, leaves, dropout_rate=0.0, dropout_rng=None):
         enc, chan, spat, clf = self._groups(leaves)
         question = encoder.encode_questions_batch(tape, enc, batch.token_ids,
                                                   batch.lengths)
         attended, readout = self._attend(tape, T.constant(batch.features),
                                          question, chan, spat)
         mask = None
-        if drop_rate > 0.0 and drop_rng is not None:
+        if dropout_rate > 0.0 and dropout_rng is not None:
             mask = T.constant(dropout_mask((batch.labels.size, self.config.fuse_dim),
-                                           drop_rate, drop_rng))
+                                           dropout_rate, dropout_rng))
         scores = classifier.answer_scores(tape, attended, question, clf,
                                           dropout_mask=mask)
         return scores, readout
+
+    def batch_loss(self, tape, batch, leaves, dropout_rate=0.0, dropout_rng=None):
+        """Mean cross-entropy over one same-K batch; returns ``(loss, scores)``
+        with a scalar loss node and the ``(B, A)`` scores."""
+        scores, _ = self._forward_batch(tape, batch, leaves, dropout_rate, dropout_rng)
+        loss = T.mean_all(tape, classifier.answer_loss(tape, scores, batch.labels))
+        return loss, scores
 
     def train_step_forward_backward(self, groups, dropout_rate=0.0, dropout_rng=None):
         """One recorded forward/backward over a batch; fills store gradients.
@@ -238,21 +229,19 @@ class VqaModel:
         concatenated across groups.
         """
         tape = T.Tape()
+        self.store.flat_grad.fill(0.0)
         leaves = self.leaves()
         total = sum(g.labels.size for g in groups)
         loss = None
         predictions = []
         labels = []
         for g in groups:
-            scores, _ = self._forward_batch(tape, g, leaves,
-                                            drop_rate=dropout_rate, drop_rng=dropout_rng)
-            part = T.scale(tape, T.mean_all(tape, classifier.answer_loss(
-                tape, scores, g.labels)), g.labels.size / total)
+            mean, scores = self.batch_loss(tape, g, leaves, dropout_rate, dropout_rng)
+            part = T.scale(tape, mean, g.labels.size / total)
             loss = part if loss is None else T.add(tape, loss, part)
             predictions.append(np.argmax(scores.value, axis=-1))
             labels.append(g.labels)
         tape.backward(loss)
-        self.store.set_grads_from(leaves)
         return float(loss.value), np.concatenate(predictions), np.concatenate(labels)
 
     def predict_batch(self, batch):
@@ -260,7 +249,25 @@ class VqaModel:
         scores, _ = self._forward_batch(None, batch, self.leaves())
         return scores.value
 
+    def _single(self, features, token_ids, label=0):
+        """One (K, D) map and question as a batch of one, tokens validated."""
+        ids = encoder.validate_tokens(token_ids, self.config.vocab_size,
+                                      self.config.max_question_len)
+        return Batch(features=np.asarray(features, dtype=np.float64)[None],
+                     token_ids=ids[None], lengths=np.array([ids.size]),
+                     labels=np.array([label]))
+
+    def instance_loss(self, tape, features, token_ids, label, leaves=None):
+        """Scalar training loss for one example (no dropout)."""
+        batch = self._single(features, token_ids, int(label))
+        return self.batch_loss(tape, batch, leaves or self.leaves())[0]
+
     def attention_readout(self, features, token_ids):
-        """Evaluation-mode attention distributions for one instance."""
-        _, _, readout = self.forward_instance(None, features, token_ids)
-        return readout
+        """Evaluation-mode attention distributions for one instance: channel
+        weights ``(D,)`` and region weights ``(K,)``, ``None`` for a stage the
+        variant lacks."""
+        _, readout = self._forward_batch(None, self._single(features, token_ids),
+                                         self.leaves())
+        return attention.AttentionReadout(*(
+            None if w is None else Tensor(w.value[0])
+            for w in (readout.channel_weights, readout.spatial_weights)))

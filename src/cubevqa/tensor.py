@@ -7,10 +7,14 @@ holding a forward value and a lazily allocated gradient buffer, and a ``Tape``
 records nodes in execution order so the backward sweep can replay them in
 reverse exactly once.
 
-Operations accept either a single instance (vector ``(n,)``, row matrix
-``(K, n)``) or a batch with one extra leading axis. No other broadcasting
-exists; the two sanctioned broadcast forms are ``add_vec``/``mul_vec``
-(a vector combined across the rows of a matrix) and ``add_scalar``.
+Operands are batched. An instance is a vector ``(n,)`` or a row matrix
+``(K, n)``, and a batch puts one leading axis ``B`` in front; a single
+instance is a batch of one (``B = 1``). ``gru_cell`` and ``cross_entropy``
+take only the batched form ``(B, ...)``. The other primitives work on the
+trailing instance axes, so they also accept an instance without the batch
+axis. No other broadcasting exists; the two sanctioned broadcast forms are
+``add_vec``/``mul_vec`` (a vector combined across the rows of a matrix) and
+``add_scalar``.
 """
 
 import numpy as np
@@ -34,9 +38,10 @@ class Tensor:
     """A node in a recorded computation: forward value plus gradient buffer.
 
     ``grad`` is ``None`` until the backward sweep first writes to it, which is
-    equivalent to a zero-initialized buffer. Instances are immutable once
-    published to readers; only the training loop mutates parameter values, and
-    only between steps.
+    equivalent to a zero-initialized buffer, unless the owner binds a buffer
+    beforehand (the model's parameter leaves bind their gradient views in the
+    parameter arena). Instances are immutable once published to readers; only
+    the training loop mutates parameter values, and only between steps.
     """
 
     __slots__ = ("value", "grad", "_backward")
@@ -295,14 +300,15 @@ def sigmoid(tape, x):
 
 
 def affine(tape, x, w, b=None):
-    """``W @ x + b`` for a vector ``x`` of shape ``(n,)`` or a batch ``(B, n)``.
+    """``W @ x + b`` over the last axis of ``x``.
 
-    ``w`` has shape ``(m, n)`` and optional ``b`` shape ``(m,)``.
+    ``x`` has shape ``(..., n)`` with rank >= 1, ``w`` shape ``(m, n)`` and
+    optional ``b`` shape ``(m,)``; the output is ``(..., m)``.
     """
     if w.value.ndim != 2:
         raise ShapeError(f"affine: weight must be a matrix, got shape {w.value.shape}")
     m_dim, n_dim = w.value.shape
-    if x.value.ndim not in (1, 2) or x.value.shape[-1] != n_dim:
+    if x.value.ndim < 1 or x.value.shape[-1] != n_dim:
         raise ShapeError(
             f"affine: weight {w.value.shape} expects input of length {n_dim}, got {x.value.shape}")
     if b is not None and b.value.shape != (m_dim,):
@@ -317,45 +323,9 @@ def affine(tape, x, w, b=None):
 
     def backward(g):
         _accum(x, g @ w.value)
-        if x.value.ndim == 1:
-            _accum(w, g[:, None] * x.value)
-            if b is not None:
-                _accum(b, g)
-        else:
-            _accum(w, g.T @ x.value)
-            if b is not None:
-                _accum(b, g.sum(axis=0))
-
-    return _make(tape, value, backward)
-
-
-def rows_affine(tape, m, w, b=None):
-    """Apply ``W @ row + b`` to every row of ``m``.
-
-    ``m`` has shape ``(..., K, n)``, ``w`` shape ``(h, n)``, output
-    ``(..., K, h)``.
-    """
-    if w.value.ndim != 2:
-        raise ShapeError(f"rows_affine: weight must be a matrix, got {w.value.shape}")
-    h_dim, n_dim = w.value.shape
-    if m.value.ndim < 2 or m.value.shape[-1] != n_dim:
-        raise ShapeError(
-            f"rows_affine: weight {w.value.shape} expects rows of length {n_dim}, got {m.value.shape}")
-    if b is not None and b.value.shape != (h_dim,):
-        raise ShapeError(
-            f"rows_affine: weight {w.value.shape} expects bias of length {h_dim}, got {b.value.shape}")
-    value = m.value @ w.value.T
-    if b is not None:
-        value = value + b.value
-
-    if tape is None:
-        return Tensor(value)
-
-    def backward(g):
-        _accum(m, g @ w.value)
-        _accum(w, g.reshape(-1, h_dim).T @ m.value.reshape(-1, n_dim))
+        _accum(w, g.reshape(-1, m_dim).T @ x.value.reshape(-1, n_dim))
         if b is not None:
-            _accum(b, g.reshape(-1, h_dim).sum(axis=0))
+            _accum(b, g.reshape(-1, m_dim).sum(axis=0))
 
     return _make(tape, value, backward)
 
@@ -462,44 +432,49 @@ def channel_scores(tape, vis, query, w):
 # recurrent cell
 
 
-def gru_cell(tape, x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c):
-    """One GRU update recorded as a single node.
+def gru_cell(tape, x, h, active, w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c):
+    """One GRU update of a batch of rows, recorded as a single node.
 
     ``z = sigmoid(W_z x + U_z h + b_z)``, ``r = sigmoid(W_r x + U_r h + b_r)``,
     ``c = tanh(W_c x + U_c (r * h) + b_c)`` and ``h' = z * h + (1 - z) * c``.
-    ``x`` is ``(E,)`` with ``h`` ``(H,)``, or a batch ``(B, E)`` with
-    ``(B, H)``; the ``w_*`` weights are ``(H, E)``, the ``u_*`` ``(H, H)`` and
-    the biases ``(H,)``. The backward writes all nine weight gradients and
-    those of ``x`` and ``h`` in one place.
+    ``x`` is ``(B, E)`` and ``h`` ``(B, H)``; the ``w_*`` weights are
+    ``(H, E)``, the ``u_*`` ``(H, H)`` and the biases ``(H,)``. ``active`` is
+    a ``(B,)`` boolean mask: a row outside it carries its state forward
+    unchanged, ``h' = h``, and its gradient passes straight through to ``h``.
+    The backward writes all nine weight gradients and those of ``x`` and
+    ``h`` in one place.
     """
     hidden, embed = w_z.value.shape
-    if (x.value.ndim not in (1, 2) or x.value.shape[-1] != embed
-            or h.value.shape != x.value.shape[:-1] + (hidden,)):
+    xv, hv = x.value, h.value
+    active = np.asarray(active, dtype=bool)
+    if (xv.ndim != 2 or xv.shape[1] != embed or hv.shape != (xv.shape[0], hidden)
+            or active.shape != (xv.shape[0],)):
         raise ShapeError(
-            f"gru_cell: input {x.value.shape} and state {h.value.shape} do not "
-            f"fit weights {w_z.value.shape}")
-    # one code path for both forms: a vector is a batch of one row
-    xv = x.value.reshape(-1, embed)
-    hv = h.value.reshape(-1, hidden)
+            f"gru_cell: input {xv.shape}, state {hv.shape} and mask {active.shape} "
+            f"do not fit weights {w_z.value.shape}")
+    keep = None if active.all() else active[:, None]
     z = _sigmoid(xv @ w_z.value.T + b_z.value + hv @ u_z.value.T)
     r = _sigmoid(xv @ w_r.value.T + b_r.value + hv @ u_r.value.T)
     rh = r * hv
     c = np.tanh(xv @ w_c.value.T + b_c.value + rh @ u_c.value.T)
-    value = (z * hv + (1.0 - z) * c).reshape(h.value.shape)
+    value = z * hv + (1.0 - z) * c
+    if keep is not None:
+        value = np.where(keep, value, hv)
 
     if tape is None:
         return Tensor(value)
 
     def backward(g):
-        g = g.reshape(hv.shape)
-        d_z = g * (hv - c) * z * (1.0 - z)
-        d_c = g * (1.0 - z) * (1.0 - c * c)
+        g_step = g if keep is None else np.where(keep, g, 0.0)
+        d_z = g_step * (hv - c) * z * (1.0 - z)
+        d_c = g_step * (1.0 - z) * (1.0 - c * c)
         d_rh = d_c @ u_c.value
         d_r = d_rh * hv * r * (1.0 - r)
-        d_h = g * z + d_rh * r + d_z @ u_z.value + d_r @ u_r.value
-        d_x = d_z @ w_z.value + d_r @ w_r.value + d_c @ w_c.value
-        _accum(x, d_x.reshape(x.value.shape))
-        _accum(h, d_h.reshape(h.value.shape))
+        d_h = g_step * z + d_rh * r + d_z @ u_z.value + d_r @ u_r.value
+        if keep is not None:
+            d_h = np.where(keep, d_h, g)
+        _accum(x, d_z @ w_z.value + d_r @ w_r.value + d_c @ w_c.value)
+        _accum(h, d_h)
         for d, w, u, b, state in ((d_z, w_z, u_z, b_z, hv), (d_r, w_r, u_r, b_r, hv),
                                   (d_c, w_c, u_c, b_c, rh)):
             _accum(w, d.T @ xv)
@@ -600,17 +575,17 @@ def embedding_lookup(tape, table, ids):
     """Select rows of an embedding table by integer id.
 
     Mathematically identical to multiplying the table by one-hot vectors.
-    ``ids`` may be a scalar, ``(T,)``, or ``(B,)`` integer array.
+    ``ids`` is a ``(B,)`` integer array; the output is ``(B, E)``.
     """
     ids = np.asarray(ids)
-    if table.value.ndim != 2:
-        raise ShapeError(f"embedding_lookup: table must be a matrix, got {table.value.shape}")
+    if table.value.ndim != 2 or ids.ndim != 1:
+        raise ShapeError(f"embedding_lookup: table {table.value.shape} must be a matrix "
+                         f"and ids {ids.shape} a vector")
     vocab = table.value.shape[0]
-    flat = np.atleast_1d(ids)
-    bad = np.where((flat < 0) | (flat >= vocab))[0]
+    bad = np.where((ids < 0) | (ids >= vocab))[0]
     if bad.size:
         raise VocabularyError(
-            f"embedding_lookup: id {int(flat[bad[0]])} at position {int(bad[0])} "
+            f"embedding_lookup: id {int(ids[bad[0]])} at position {int(bad[0])} "
             f"outside vocabulary of size {vocab}")
     value = table.value[ids]
 
@@ -626,31 +601,26 @@ def embedding_lookup(tape, table, ids):
 
 
 def cross_entropy(tape, scores, labels):
-    """Negative log-likelihood of ``labels`` under softmax of ``scores``.
+    """Per-example negative log-likelihood of ``labels`` under softmax of ``scores``.
 
-    Fused log-sum-exp form; never materializes probabilities in the forward
-    value. ``scores`` is ``(A,)`` with an int label, or ``(B, A)`` with
-    ``(B,)`` labels (the output is then the per-example loss vector).
+    ``scores`` is ``(B, A)`` and ``labels`` ``(B,)``; the output is the
+    ``(B,)`` loss vector. Fused log-sum-exp form; never materializes
+    probabilities in the forward value.
     """
     labels = np.asarray(labels)
-    if scores.value.ndim == 1:
-        if labels.shape != ():
-            raise ShapeError(f"cross_entropy: scalar label expected, got shape {labels.shape}")
-    elif scores.value.ndim == 2:
-        if labels.shape != (scores.value.shape[0],):
-            raise ShapeError(
-                f"cross_entropy: labels {labels.shape} do not match scores {scores.value.shape}")
-    else:
-        raise ShapeError(f"cross_entropy: scores must be 1- or 2-d, got {scores.value.shape}")
-    a = scores.value.shape[-1]
-    flat_labels = np.atleast_1d(labels)
-    if np.any((flat_labels < 0) | (flat_labels >= a)):
-        bad = flat_labels[(flat_labels < 0) | (flat_labels >= a)][0]
-        raise InvalidArgumentError(f"cross_entropy: label {int(bad)} outside {a} classes")
+    if scores.value.ndim != 2 or labels.shape != scores.value.shape[:1]:
+        raise ShapeError(
+            f"cross_entropy: labels {labels.shape} do not match (B, A) scores "
+            f"{scores.value.shape}")
+    a = scores.value.shape[1]
+    bad = (labels < 0) | (labels >= a)
+    if bad.any():
+        raise InvalidArgumentError(
+            f"cross_entropy: label {int(labels[bad][0])} outside {a} classes")
+    rows = np.arange(labels.size)
     shifted = scores.value - scores.value.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1))
-    picked = np.take_along_axis(shifted, np.expand_dims(labels, -1), axis=-1).squeeze(-1)
-    value = log_z - picked
+    value = log_z - shifted[rows, labels]
     _check_finite(value, "cross_entropy")
 
     if tape is None:
@@ -659,9 +629,8 @@ def cross_entropy(tape, scores, labels):
     def backward(g):
         e = np.exp(shifted)
         p = e / e.sum(axis=-1, keepdims=True)
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, np.expand_dims(labels, -1), 1.0, axis=-1)
-        _accum(scores, np.expand_dims(g, -1) * (p - onehot))
+        p[rows, labels] -= 1.0
+        _accum(scores, g[:, None] * p)
 
     return _make(tape, value, backward)
 

@@ -2,16 +2,18 @@
 
 The parameter store owns every trainable array together with its gradient
 buffer and Adam moment estimates. Training is a single logical writer: one
-step records a tape, pulls gradients into the store, clips the global norm,
-and applies Adam. All randomness flows from one seed through named
-sub-streams (init / shuffle / dropout / data), so two runs with identical
-seed, config, and data produce bitwise-identical parameters.
+step records a tape whose backward pass accumulates gradients straight into
+the store, clips the global norm, and applies Adam. All randomness flows
+from one seed through named sub-streams (init / shuffle / dropout / data),
+so two runs with identical seed, config, and data produce bitwise-identical
+parameters.
 
 Checkpoints are a self-describing little-endian binary: magic ``CVAC``,
 version, entry count, then three sequences of named arrays (values, first
 moments, second moments) followed by the global step counter.
 """
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, fields, replace
@@ -110,15 +112,6 @@ class ParameterStore:
     def values(self):
         return {name: p.value for name, p in self._params.items()}
 
-    def set_grads_from(self, leaves):
-        """Assign gradients pulled from the leaf tensors of one tape pass."""
-        for name, p in self._params.items():
-            leaf = leaves[name]
-            if leaf.grad is None:
-                p.grad[...] = 0.0
-            else:
-                p.grad[...] = leaf.grad
-
     def grad_norm(self):
         # einsum rather than np.dot: a threaded BLAS dot can stall for a
         # millisecond waking its worker threads, many times the arithmetic
@@ -191,18 +184,6 @@ def dropout_mask(shape, rate, rng):
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def apply_dropout(x, rate, mode, rng=None):
-    """Inverted dropout on an array; identity outside training mode."""
-    if mode not in ("train", "eval"):
-        raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "eval" or rate == 0.0:
-        if not 0.0 <= rate < 1.0:
-            raise InvalidArgumentError(f"dropout rate must be in [0, 1), got {rate}")
-        return x.copy()
-    return x * dropout_mask(x.shape, rate, rng)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -272,12 +253,11 @@ def apply_overrides(config, overrides):
         if val is None:
             continue
         kind = _CONFIG_TYPES[key]
-        if kind in ("int", int):
-            converted[key] = int(val)
-        elif kind in ("float", float):
-            converted[key] = float(val)
-        else:
-            converted[key] = str(val)
+        try:
+            converted[key] = kind(val)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"config value {val!r} for {key!r} is not {kind.__name__}") from None
     return replace(config, **converted).validate()
 
 
@@ -345,32 +325,52 @@ def save_checkpoint(store, path):
         fh.write(struct.pack("<Q", store.step))
 
 
-class _Reader:
-    def __init__(self, data, path):
+class ByteReader:
+    """Bounds-checked reads from a little-endian binary container.
+
+    The CVAC checkpoint and the CVAF feature container both parse through
+    it. Every failure (a truncated field, a name that is not UTF-8, trailing
+    bytes) raises the container's own ``error`` class, naming the file and
+    the byte offset.
+    """
+
+    def __init__(self, data, path, error):
         self.data = data
         self.path = path
+        self.error = error
         self.offset = 0
 
     def take(self, count, what):
         if self.offset + count > len(self.data):
-            raise CheckpointFormatError(
+            raise self.error(
                 f"{self.path}: truncated while reading {what} at byte {self.offset}")
         chunk = self.data[self.offset:self.offset + count]
         self.offset += count
         return chunk
 
     def unpack(self, fmt, what):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size, what))[0]
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def name(self, what):
+        """A UTF-8 string behind a u16 byte count."""
+        (size,) = self.unpack("<H", f"{what} length")
+        start = self.offset
+        try:
+            return self.take(size, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{self.path}: {what} at byte {start} is not UTF-8") from None
+
+    def finish(self):
+        if self.offset != len(self.data):
+            raise self.error(f"{self.path}: {len(self.data) - self.offset} trailing "
+                             f"bytes at {self.offset}")
 
 
 def _read_entry(reader):
-    name_len = reader.unpack("<H", "name length")
-    name = reader.take(name_len, "name").decode("utf-8")
-    rank = reader.unpack("<B", f"rank of {name}")
-    shape = tuple(reader.unpack("<I", f"dim of {name}") for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    payload = reader.take(count * 8, f"payload of {name}")
+    name = reader.name("name")
+    (rank,) = reader.unpack("<B", f"rank of {name}")
+    shape = reader.unpack(f"<{rank}I", f"dims of {name}")
+    payload = reader.take(8 * math.prod(shape), f"payload of {name}")
     array = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     return name, array
 
@@ -379,13 +379,13 @@ def load_checkpoint(path):
     """Parse a checkpoint into ({name: (value, m, v)}, step)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    reader = _Reader(data, path)
+    reader = ByteReader(data, path, CheckpointFormatError)
     if reader.take(4, "magic") != _MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic at byte 0")
-    version = reader.unpack("<I", "version")
+    (version,) = reader.unpack("<I", "version")
     if version != _VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    count = reader.unpack("<I", "entry count")
+    (count,) = reader.unpack("<I", "entry count")
     sections = []
     for _ in range(3):
         section = {}
@@ -395,10 +395,8 @@ def load_checkpoint(path):
                 raise CheckpointFormatError(f"{path}: duplicate entry {name!r}")
             section[name] = array
         sections.append(section)
-    step = reader.unpack("<Q", "step counter")
-    if reader.offset != len(data):
-        raise CheckpointFormatError(
-            f"{path}: {len(data) - reader.offset} trailing bytes at {reader.offset}")
+    (step,) = reader.unpack("<Q", "step counter")
+    reader.finish()
     values, first, second = sections
     if set(first) != set(values) or set(second) != set(values):
         raise CheckpointFormatError(f"{path}: moment sections do not match values")

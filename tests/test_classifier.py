@@ -22,28 +22,33 @@ def params(d=6, hidden=5, fused=4, answers=3, seed=0, zero=False):
         b_hidden=init((fused,)), w_out=init((answers, fused)), b_out=init((answers,)))
 
 
+def answer_probabilities(visual, question, p):
+    """Evaluation-mode softmax over the answers; ``evaluate`` predicts its argmax."""
+    return T.softmax(None, C.answer_scores(None, visual, question, p)).value
+
+
 def test_zero_params_uniform_distribution():
     p = params(zero=True)
     rng = np.random.default_rng(1)
-    dist = C.predict_answer(Tensor(rng.standard_normal(6)),
-                            Tensor(rng.standard_normal(5)), p)
-    npt.assert_allclose(dist.probabilities, np.full(3, 1 / 3), atol=1e-15)
-    assert dist.top_index == 0  # tie resolves to the lowest index
+    probs = answer_probabilities(Tensor(rng.standard_normal((1, 6))),
+                                 Tensor(rng.standard_normal((1, 5))), p)
+    npt.assert_allclose(probs, np.full((1, 3), 1 / 3), atol=1e-15)
+    assert np.argmax(probs, axis=-1)[0] == 0  # tie resolves to the lowest index
 
 
 def test_output_bias_concentrates_probability():
     p = params(answers=100, zero=True)
     p.b_out.value[0] = 10.0
-    dist = C.predict_answer(Tensor(np.zeros(6)), Tensor(np.zeros(5)), p)
-    assert dist.probabilities[0] > 0.99
-    assert dist.top_index == 0
+    probs = answer_probabilities(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 5))), p)
+    assert probs[0, 0] > 0.99
+    assert np.argmax(probs, axis=-1)[0] == 0
 
 
 def test_full_scale_answer_vocabulary():
     p = params(d=8, hidden=5, fused=4, answers=2000, seed=2)
-    dist = C.predict_answer(Tensor(np.zeros(8)), Tensor(np.zeros(5)), p)
-    assert dist.probabilities.shape == (2000,)
-    npt.assert_allclose(dist.probabilities.sum(), 1.0, atol=1e-9)
+    probs = answer_probabilities(Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 5))), p)
+    assert probs.shape == (1, 2000)
+    npt.assert_allclose(probs.sum(), 1.0, atol=1e-9)
 
 
 def test_argmax_shift_invariant():
@@ -56,53 +61,58 @@ def test_argmax_shift_invariant():
     assert int(np.argmax(shifted)) == base
 
 
+def zero_inputs():
+    """An all-zero visual (1, 6) and question (1, 5): a batch of one."""
+    return Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 5)))
+
+
 def test_loss_values():
     p = params(zero=True)
-    scores = C.answer_scores(None, Tensor(np.zeros(6)), Tensor(np.zeros(5)), p)
-    npt.assert_allclose(float(C.answer_loss(None, scores, 1).value),
+    scores = C.answer_scores(None, *zero_inputs(), p)
+    npt.assert_allclose(float(C.answer_loss(None, scores, [1]).value[0]),
                         math.log(3.0), atol=1e-12)
 
 
 def test_loss_zero_iff_concentrated():
     p = params(answers=4, zero=True)
     p.b_out.value[2] = 50.0
-    scores = C.answer_scores(None, Tensor(np.zeros(6)), Tensor(np.zeros(5)), p)
-    assert float(C.answer_loss(None, scores, 2).value) < 1e-12
-    assert float(C.answer_loss(None, scores, 0).value) > 1.0
+    scores = C.answer_scores(None, *zero_inputs(), p)
+    assert float(C.answer_loss(None, scores, [2]).value[0]) < 1e-12
+    assert float(C.answer_loss(None, scores, [0]).value[0]) > 1.0
 
 
 def test_loss_label_out_of_range():
     p = params()
-    scores = C.answer_scores(None, Tensor(np.zeros(6)), Tensor(np.zeros(5)), p)
+    scores = C.answer_scores(None, *zero_inputs(), p)
     with pytest.raises(InvalidArgumentError):
-        C.answer_loss(None, scores, 3)
+        C.answer_loss(None, scores, [3])
 
 
 def test_loss_gradient_is_softmax_minus_onehot():
     rng = np.random.default_rng(5)
     raw = rng.standard_normal(7)
     tape = Tape()
-    scores = Tensor(raw)
-    loss = T.cross_entropy(tape, scores, 4)
+    scores = Tensor(raw[None])
+    loss = T.mean_all(tape, T.cross_entropy(tape, scores, [4]))
     tape.backward(loss)
     e = np.exp(raw - raw.max())
     probs = e / e.sum()
     onehot = np.zeros(7)
     onehot[4] = 1.0
-    npt.assert_allclose(scores.grad, probs - onehot, atol=1e-12)
+    npt.assert_allclose(scores.grad[0], probs - onehot, atol=1e-12)
 
 
 def test_classifier_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
-    visual_val = rng.standard_normal(6)
-    question_val = rng.standard_normal(5)
+    visual_val = rng.standard_normal((1, 6))
+    question_val = rng.standard_normal((1, 5))
     arrays = {name: getattr(params(seed=7), name).value
               for name in ("w_visual", "w_question", "b_hidden", "w_out", "b_out")}
 
     def build(tape):
         p = C.ClassifierParams(**{name: Tensor(arrays[name]) for name in arrays})
         scores = C.answer_scores(tape, Tensor(visual_val), Tensor(question_val), p)
-        return C.answer_loss(tape, scores, 2), p
+        return T.mean_all(tape, C.answer_loss(tape, scores, [2])), p
 
     tape = Tape()
     loss, p = build(tape)

@@ -143,6 +143,21 @@ def test_train_config_file_with_flag_override(tiny_dataset, tmp_path, capsys):
     assert manifest["train_config"]["batch_size"] == 8
 
 
+def test_train_non_numeric_values_exit_three(tiny_dataset, tmp_path, capsys):
+    out = str(tmp_path / "bad")
+    for flags in (["--lr", "abc"], ["--epochs", "1.5"]):
+        assert run(["train", "--variant", "ca", "--data", tiny_dataset, "--out", out]
+                   + flags) == 3
+        err = capsys.readouterr().err
+        assert "validation error" in err and repr(flags[1]) in err
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("learning_rate = fast\n")
+    assert run(["train", "--variant", "ca", "--data", tiny_dataset, "--out", out,
+                "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "'learning_rate'" in err and "'fast'" in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -217,6 +232,39 @@ def test_eval_architecture_mismatch(trained_run, tmp_path, capsys):
     code = run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
                 "--data", other])
     assert code == 3
+
+
+def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_path,
+                                                capsys):
+    manifest = json.load(open(os.path.join(trained_run, "manifest.json")))
+    broken = [dict(manifest, model=dict(manifest["model"], extra=1)),
+              dict(manifest, model={k: v for k, v in manifest["model"].items()
+                                    if k != "feat_dim"}),
+              {k: v for k, v in manifest.items() if k != "model"},
+              dict(manifest, model=[1, 2]), [manifest]]
+    for case, content in enumerate(broken):
+        run_dir = tmp_path / str(case)
+        run_dir.mkdir()
+        shutil.copy(os.path.join(trained_run, "checkpoint.cvac"), str(run_dir))
+        (run_dir / "manifest.json").write_text(json.dumps(content))
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.cvac"),
+                    "--data", tiny_dataset, "--csv", str(run_dir / "r.csv")]) == 2, case
+        assert "format error" in capsys.readouterr().err
+
+
+def test_eval_restores_every_value_whatever_the_manifest_seed(trained_run, tiny_dataset,
+                                                              tmp_path, capsys):
+    csv_path = str(tmp_path / "r.csv")
+    assert run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
+                "--data", tiny_dataset, "--csv", csv_path]) == 0
+    expected = capsys.readouterr().out, open(csv_path).read()
+    run_dir = tmp_path / "seeded"
+    shutil.copytree(trained_run, str(run_dir))
+    manifest = json.load(open(run_dir / "manifest.json"))
+    (run_dir / "manifest.json").write_text(json.dumps(dict(manifest, seed="x")))
+    assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.cvac"),
+                "--data", tiny_dataset, "--csv", csv_path]) == 0
+    assert (capsys.readouterr().out, open(csv_path).read()) == expected
 
 
 def test_eval_missing_checkpoint_is_io_error(tiny_dataset, capsys):

@@ -68,6 +68,21 @@ def test_bad_magic_and_trailing_bytes(tmp_path):
     assert "trailing" in str(err.value)
 
 
+def test_non_utf8_image_id_is_format_error(tmp_path):
+    container = FeatureContainer()
+    container.add("img", np.ones((2, 3)))
+    path = str(tmp_path / "u.cvaf")
+    write_features(container, path)
+    blob = bytearray(open(path, "rb").read())
+    # magic, version and record count take 12 bytes, the id length 2
+    assert blob[14:17] == b"img"
+    blob[14] = 0xFF
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        load_features(path)
+    assert "UTF-8" in str(err.value) and "byte 14" in str(err.value)
+
+
 def test_container_validation():
     container = FeatureContainer()
     container.add("a", np.ones((2, 3)))

@@ -31,6 +31,17 @@ def make_params(vocab=7, embed=4, hidden=5, seed=0, zero=False):
         b_cand=init((hidden,)))
 
 
+def encode(tape, params, tokens):
+    """One question encoded as a batch of one; returns the (1, H) state node."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    return E.encode_questions_batch(tape, params, tokens[None], [tokens.size])
+
+
+def step(params, x, h):
+    """One GRU step of single rows ``x`` (E,) and ``h`` (H,) as a batch of one."""
+    return E.gru_step(None, params, Tensor(x[None]), Tensor(h[None]), [True])
+
+
 # ---------------------------------------------------------------------------
 # embedding
 
@@ -38,15 +49,15 @@ def make_params(vocab=7, embed=4, hidden=5, seed=0, zero=False):
 def test_embed_identity_table_selects_basis_vector():
     params = make_params(vocab=4, embed=4, zero=True)
     params.embed.value[...] = np.eye(4)
-    vecs = E.embed_tokens(None, params, [0, 2])
-    npt.assert_array_equal(vecs[0].value, [1, 0, 0, 0])
-    npt.assert_array_equal(vecs[1].value, [0, 0, 1, 0])
+    vecs = T.embedding_lookup(None, params.embed, np.array([0, 2])).value
+    npt.assert_array_equal(vecs[0], [1, 0, 0, 0])
+    npt.assert_array_equal(vecs[1], [0, 0, 1, 0])
 
 
 def test_embed_repeated_token_identical():
     params = make_params()
-    a, b = E.embed_tokens(None, params, [3, 3])
-    npt.assert_array_equal(a.value, b.value)
+    a, b = T.embedding_lookup(None, params.embed, np.array([3, 3])).value
+    npt.assert_array_equal(a, b)
 
 
 def test_embed_matches_onehot_matrix_product():
@@ -56,7 +67,7 @@ def test_embed_matches_onehot_matrix_product():
         onehot = np.zeros(9)
         onehot[token] = 1.0
         expected = table.T @ onehot
-        npt.assert_allclose(E.embed_tokens(None, params, [token])[0].value,
+        npt.assert_allclose(T.embedding_lookup(None, params.embed, np.array([token])).value[0],
                             expected, atol=1e-15)
 
 
@@ -76,18 +87,22 @@ def test_validate_tokens_errors():
 
 def test_gru_step_all_zero_params():
     params = make_params(zero=True)
-    x = Tensor(np.zeros(4))
-    h = Tensor(np.zeros(5))
-    out = E.gru_step(None, params, x, h)
-    npt.assert_array_equal(out.value, np.zeros(5))
+    out = step(params, np.zeros(4), np.zeros(5))
+    npt.assert_array_equal(out.value, np.zeros((1, 5)))
 
 
 def test_gru_step_rejects_mismatched_state():
     params = make_params()
+    active = np.ones(2, dtype=bool)
     with pytest.raises(ShapeError):
-        E.gru_step(None, params, Tensor(np.zeros((2, 4))), Tensor(np.zeros(5)))
+        E.gru_step(None, params, Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 5))), active)
     with pytest.raises(ShapeError):
-        E.gru_step(None, params, Tensor(np.zeros(3)), Tensor(np.zeros(5)))
+        E.gru_step(None, params, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), active)
+    with pytest.raises(ShapeError):
+        E.gru_step(None, params, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 5))),
+                   active[:1])
+    with pytest.raises(ShapeError):  # the batch axis is required
+        E.gru_step(None, params, Tensor(np.zeros(4)), Tensor(np.zeros(5)), active[:1])
 
 
 def test_gru_step_update_gate_keeps_previous_state():
@@ -96,8 +111,18 @@ def test_gru_step_update_gate_keeps_previous_state():
     params.b_update.value[...] = 20.0
     rng = np.random.default_rng(3)
     h_prev = rng.uniform(-1, 1, 5)
-    out = E.gru_step(None, params, Tensor(rng.uniform(-1, 1, 4)), Tensor(h_prev))
-    npt.assert_allclose(out.value, h_prev, atol=1e-6)
+    out = step(params, rng.uniform(-1, 1, 4), h_prev)
+    npt.assert_allclose(out.value[0], h_prev, atol=1e-6)
+
+
+def test_gru_step_inactive_rows_carry_state():
+    params = make_params(seed=20)
+    rng = np.random.default_rng(21)
+    x, h = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 5))
+    full = E.gru_step(None, params, Tensor(x), Tensor(h), np.ones(3, dtype=bool))
+    out = E.gru_step(None, params, Tensor(x), Tensor(h), np.array([True, False, True]))
+    npt.assert_array_equal(out.value[[0, 2]], full.value[[0, 2]])
+    npt.assert_array_equal(out.value[1], h[1])
 
 
 def test_gru_step_matches_scalar_loop():
@@ -108,8 +133,8 @@ def test_gru_step_matches_scalar_loop():
         x = rng.uniform(-2, 2, 4)
         h = rng.uniform(-1, 1, 5)
         expected = naive_gru_step(x.tolist(), h.tolist(), plists)
-        out = E.gru_step(None, params, Tensor(x), Tensor(h))
-        npt.assert_allclose(out.value, expected, atol=1e-12)
+        out = step(params, x, h)
+        npt.assert_allclose(out.value[0], expected, atol=1e-12)
 
 
 def test_gru_gates_strictly_inside_unit_interval():
@@ -129,48 +154,47 @@ def test_gru_gates_strictly_inside_unit_interval():
 def test_gru_state_bounded_by_convex_combination():
     params = make_params(seed=8)
     rng = np.random.default_rng(9)
-    h = Tensor(rng.uniform(-0.9, 0.9, 5))
+    h = Tensor(rng.uniform(-0.9, 0.9, (1, 5)))
     for _ in range(30):
-        h = E.gru_step(None, params, Tensor(rng.uniform(-3, 3, 4)), h)
+        h = E.gru_step(None, params, Tensor(rng.uniform(-3, 3, (1, 4))), h, [True])
         assert np.max(np.abs(h.value)) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# encode_question
+# encoding one question (a batch of one)
 
 
 def test_encode_single_token_is_one_step_from_zero():
     params = make_params(seed=10)
-    one = E.encode_question(None, params, [3])
-    x = E.embed_tokens(None, params, [3])[0]
-    step = E.gru_step(None, params, x, Tensor(np.zeros(5)))
-    npt.assert_array_equal(one.value, step.value)
+    one = encode(None, params, [3])
+    x = T.embedding_lookup(None, params.embed, np.array([3]))
+    first = E.gru_step(None, params, x, Tensor(np.zeros((1, 5))), [True])
+    npt.assert_array_equal(one.value, first.value)
 
 
 def test_encode_zero_params_gives_zero_for_any_tokens():
     params = make_params(zero=True)
     for tokens in ([0], [1, 2, 3], [4] * 6):
-        npt.assert_array_equal(E.encode_question(None, params, tokens).value,
-                               np.zeros(5))
+        npt.assert_array_equal(encode(None, params, tokens).value, np.zeros((1, 5)))
 
 
 def test_encode_question_order_sensitivity():
     params = make_params(seed=11)
-    a = E.encode_question(None, params, [1, 2, 3])
-    b = E.encode_question(None, params, [3, 2, 1])
+    a = encode(None, params, [1, 2, 3])
+    b = encode(None, params, [3, 2, 1])
     assert np.max(np.abs(a.value - b.value)) > 1e-6
 
 
 def test_encode_question_deterministic():
     params = make_params(seed=12)
-    a = E.encode_question(None, params, [5, 1, 4])
-    b = E.encode_question(None, params, [5, 1, 4])
+    a = encode(None, params, [5, 1, 4])
+    b = encode(None, params, [5, 1, 4])
     npt.assert_array_equal(a.value, b.value)
 
 
 def test_encode_question_rejects_empty():
     with pytest.raises(InvalidArgumentError):
-        E.encode_question(None, make_params(), [])
+        encode(None, make_params(), [])
 
 
 def test_encode_matches_scalar_loop_oracle():
@@ -181,8 +205,8 @@ def test_encode_matches_scalar_loop_oracle():
     for _ in range(5):
         tokens = rng.integers(0, 7, size=int(rng.integers(1, 9)))
         expected = naive_encode(tokens, embed, plists, hidden=5)
-        out = E.encode_question(None, params, tokens)
-        npt.assert_allclose(out.value, expected, atol=1e-12)
+        out = encode(None, params, tokens)
+        npt.assert_allclose(out.value[0], expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +224,8 @@ def test_batched_encoding_matches_per_example():
         ids[i, ln:] = rng.integers(0, 7, size=t_max - ln)  # junk padding
     batched = E.encode_questions_batch(None, params, ids, lengths)
     for i, ln in enumerate(lengths):
-        single = E.encode_question(None, params, ids[i, :ln])
-        npt.assert_allclose(batched.value[i], single.value, atol=1e-12)
+        single = encode(None, params, ids[i, :ln])
+        npt.assert_allclose(batched.value[i], single.value[0], atol=1e-12)
 
 
 def test_batched_encoding_gradients_match_per_example():
@@ -219,7 +243,7 @@ def test_batched_encoding_gradients_match_per_example():
     tape = Tape()
     total = None
     for i in range(2):
-        q = E.encode_question(tape, fresh, ids[i, :lengths[i]])
+        q = encode(tape, fresh, ids[i, :lengths[i]])
         sq = T.mul(tape, q, q)
         part = T.scale(tape, T.mean_all(tape, sq), 0.5)
         total = part if total is None else T.add(tape, total, part)
@@ -234,8 +258,8 @@ def test_batched_encoder_records_one_gru_node_per_step():
     ids = np.array([[1, 2, 3, 4, 5], [6, 5, 4, 0, 0]])
     tape = Tape()
     E.encode_questions_batch(tape, params, ids, np.array([5, 3]))
-    # per step: embedding lookup, GRU cell, length capture, running sum
-    assert len(tape) <= 20
+    # per step: the embedding lookup and the GRU cell
+    assert len(tape) <= 2 * ids.shape[1]
 
 
 def test_encoder_gradients_match_finite_differences():
@@ -244,7 +268,7 @@ def test_encoder_gradients_match_finite_differences():
     arrays = {name: getattr(params, name).value for name in ENCODER_PARAMS}
 
     def build(tape):
-        q = E.encode_question(tape, params, tokens)
+        q = encode(tape, params, tokens)
         return T.mean_all(tape, T.mul(tape, q, q))
 
     tape = Tape()

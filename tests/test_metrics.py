@@ -1,14 +1,12 @@
-"""Consensus accuracy, Wu-Palmer scores, choice ranking, and reports."""
+"""Consensus accuracy, Wu-Palmer scores, and reports."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from cubevqa import data, metrics
-from cubevqa.classifier import AnswerDistribution
 from cubevqa.metrics import (EvalReport, Taxonomy, TaxonomyError, evaluate,
-                             multiple_choice_pick, normalize_answer, vqa_accuracy,
-                             wup_similarity, wups_score)
+                             normalize_answer, vqa_accuracy, wup_similarity, wups_score)
 from cubevqa.model import ModelConfig, VqaModel
 from cubevqa.tensor import InvalidArgumentError
 
@@ -143,27 +141,6 @@ def test_wups_validates_inputs(tmp_path):
         wups_score(["red"], ["red", "blue"], tax, 0.5)
     with pytest.raises(InvalidArgumentError):
         wups_score(["red"], ["red"], tax, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# multiple choice
-
-
-def test_multiple_choice_rules():
-    dist = AnswerDistribution(np.array([0.1, 0.2, 0.6, 0.1]), 2)
-    assert multiple_choice_pick(dist, [3]) == 3
-    assert multiple_choice_pick(dist, [0, 1, 3]) == 1
-    uniform = AnswerDistribution(np.full(4, 0.25), 0)
-    assert multiple_choice_pick(uniform, [2, 1, 3]) == 1
-    with pytest.raises(InvalidArgumentError):
-        multiple_choice_pick(dist, [])
-    with pytest.raises(InvalidArgumentError):
-        multiple_choice_pick(dist, [9])
-
-
-def test_multiple_choice_restricted_to_choices():
-    dist = AnswerDistribution(np.array([0.05, 0.9, 0.03, 0.02]), 1)
-    assert multiple_choice_pick(dist, [0, 2, 3]) == 0
 
 
 # ---------------------------------------------------------------------------

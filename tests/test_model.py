@@ -78,9 +78,11 @@ def test_batched_forward_matches_instance_forward(variant):
     batch = make_batch(config)
     scores = model.predict_batch(batch)
     for i in range(batch.labels.size):
-        single, _, _ = model.forward_instance(
-            None, batch.features[i], batch.token_ids[i, :batch.lengths[i]])
-        npt.assert_allclose(scores[i], single.value, atol=1e-12)
+        single = model.predict_batch(Batch(
+            features=batch.features[i:i + 1],
+            token_ids=batch.token_ids[i:i + 1, :batch.lengths[i]],
+            lengths=batch.lengths[i:i + 1], labels=batch.labels[i:i + 1]))
+        npt.assert_allclose(scores[i], single[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
@@ -102,7 +104,6 @@ def test_batched_gradients_match_instance_sum(variant):
         part = T.scale(tape, loss_i, 0.25)
         total = part if total is None else T.add(tape, total, part)
     tape.backward(total)
-    fresh.store.set_grads_from(leaves)
     for n in batched_grads:
         npt.assert_allclose(batched_grads[n], fresh.store[n].grad, atol=1e-12,
                             err_msg=n)

@@ -193,28 +193,33 @@ def test_embedding_lookup_out_of_range_names_position():
 # cross entropy
 
 
+def one_loss(scores, label):
+    """Cross-entropy of one score vector as a batch of one."""
+    (value,) = T.cross_entropy(None, leaf([scores]), np.array([label])).value
+    return float(value)
+
+
 def test_cross_entropy_values():
     # concentrated scores make the label probability ~1
-    scores = leaf([40.0, 0.0, 0.0])
-    assert float(T.cross_entropy(None, scores, 0).value) < 1e-12
+    assert one_loss([40.0, 0.0, 0.0], 0) < 1e-12
     # uniform scores give ln(A)
-    npt.assert_allclose(float(T.cross_entropy(None, leaf([0.0] * 5), 2).value),
-                        math.log(5.0), atol=1e-15)
+    npt.assert_allclose(one_loss([0.0] * 5, 2), math.log(5.0), atol=1e-15)
     # p = [0.25, 0.75] via logits log(1), log(3)
-    loss = float(T.cross_entropy(None, leaf([0.0, math.log(3.0)]), 1).value)
+    loss = one_loss([0.0, math.log(3.0)], 1)
     npt.assert_allclose(loss, -math.log(0.75), atol=1e-15)
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(InvalidArgumentError):
-        T.cross_entropy(None, leaf([0.0, 1.0]), 2)
+        one_loss([0.0, 1.0], 2)
+    with pytest.raises(ShapeError):  # the batch axis is required
+        T.cross_entropy(None, leaf([0.0, 1.0]), 1)
 
 
 def test_cross_entropy_nonnegative():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        scores = leaf(rng.uniform(-30, 30, size=6))
-        assert float(T.cross_entropy(None, scores, int(rng.integers(6))).value) >= 0.0
+        assert one_loss(rng.uniform(-30, 30, size=6), int(rng.integers(6))) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +298,11 @@ def _fd_for(op_builder, arrays, eps=1e-6):
 
 
 @pytest.mark.parametrize("case", [
-    "affine", "rows_affine", "matvec_last", "channel_scores", "channel_scores_batch",
+    "affine", "affine_rows", "matvec_last", "channel_scores", "channel_scores_batch",
     "softmax", "mean_over_rows",
     "weighted_row_sum", "scale_rows", "add_vec", "mul_vec", "add_scalar",
     "mul", "add", "one_minus", "tanh", "sigmoid", "scale", "cross_entropy",
-    "embedding", "gru_cell",
+    "embedding", "gru_cell", "gru_cell_masked",
 ])
 def test_primitive_gradients_match_finite_differences(case):
     rng = np.random.default_rng(hash(case) % 2**32)
@@ -305,8 +310,8 @@ def test_primitive_gradients_match_finite_differences(case):
     builders = {
         "affine": (lambda t, l: T.affine(t, l[0], l[1], l[2]),
                    [v(3), v((4, 3)), v(4)]),
-        "rows_affine": (lambda t, l: T.rows_affine(t, l[0], l[1], l[2]),
-                        [v((5, 3)), v((4, 3)), v(4)]),
+        "affine_rows": (lambda t, l: T.affine(t, l[0], l[1], l[2]),
+                        [v((2, 5, 3)), v((4, 3)), v(4)]),
         "matvec_last": (lambda t, l: T.matvec_last(t, l[0], l[1]),
                         [v((5, 3)), v(3)]),
         "channel_scores": (lambda t, l: T.channel_scores(t, l[0], l[1], l[2]),
@@ -327,12 +332,17 @@ def test_primitive_gradients_match_finite_differences(case):
         "tanh": (lambda t, l: T.tanh(t, l[0]), [v(5)]),
         "sigmoid": (lambda t, l: T.sigmoid(t, l[0]), [v(5)]),
         "scale": (lambda t, l: T.scale(t, l[0], -1.7), [v(5)]),
-        "cross_entropy": (lambda t, l: T.cross_entropy(t, l[0], 2), [v(5)]),
+        "cross_entropy": (lambda t, l: T.cross_entropy(t, l[0], np.array([2, 0])),
+                          [v((2, 5))]),
         "embedding": (lambda t, l: T.embedding_lookup(t, l[0], np.array([1, 0, 1])),
                       [v((3, 4))]),
-        # batched form: x (B, E), h (B, H), then (W, U, b) per gate
-        "gru_cell": (lambda t, l: T.gru_cell(t, *l),
+        # x (B, E), h (B, H), the (B,) mask, then (W, U, b) per gate
+        "gru_cell": (lambda t, l: T.gru_cell(t, l[0], l[1], [True] * 3, *l[2:]),
                      [v((3, 4)), v((3, 5))] + [v((5, 4)), v((5, 5)), v(5)] * 3),
+        # the middle row's question has ended: its state and gradient pass through
+        "gru_cell_masked": (lambda t, l: T.gru_cell(t, l[0], l[1], [True, False, True],
+                                                    *l[2:]),
+                            [v((3, 4)), v((3, 5))] + [v((5, 4)), v((5, 5)), v(5)] * 3),
     }
     builder, arrays = builders[case]
     assert _fd_for(builder, arrays) < 1e-7
@@ -345,9 +355,9 @@ def test_composed_graph_gradient_accuracy():
     def builder(tape, l):
         hidden = T.tanh(tape, T.affine(tape, l[0], l[1], l[2]))
         weights = T.softmax(tape, T.affine(tape, hidden, l[3], l[4]))
-        return T.cross_entropy(tape, T.mul(tape, weights, weights), 1)
+        return T.cross_entropy(tape, T.mul(tape, weights, weights), np.array([1]))
 
-    arrays = [rng.standard_normal(8), rng.standard_normal((10, 8)),
+    arrays = [rng.standard_normal((1, 8)), rng.standard_normal((10, 8)),
               rng.standard_normal(10), rng.standard_normal((6, 10)),
               rng.standard_normal(6)]
     assert _fd_for(builder, arrays, eps=1e-5) < 1e-4

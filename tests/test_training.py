@@ -1,6 +1,7 @@
 """Adam, clipping, dropout, the epoch loop, and checkpoint persistence."""
 
 import os
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,7 @@ from cubevqa import data
 from cubevqa.model import ModelConfig, VqaModel
 from cubevqa.tensor import InvalidArgumentError, ShapeError
 from cubevqa.training import (CheckpointFormatError, ParameterStore, TrainConfig,
-                              adam_step, apply_dropout, clip_gradients,
+                              adam_step, clip_gradients, dropout_mask,
                               load_checkpoint, parse_config_file,
                               restore_checkpoint, save_checkpoint, substream)
 
@@ -133,15 +134,18 @@ def test_clip_never_exceeds_max_norm():
 
 
 def test_dropout_rate_zero_and_eval_identity():
+    # evaluation passes no mask at all (``VqaModel.predict_batch``); at rate
+    # zero the training mask is all ones and draws nothing
     rng = np.random.default_rng(6)
     x = rng.standard_normal(50)
-    npt.assert_array_equal(apply_dropout(x, 0.0, "train", rng), x)
-    npt.assert_array_equal(apply_dropout(x, 0.9, "eval"), x)
+    state = rng.bit_generator.state
+    npt.assert_array_equal(x * dropout_mask(x.shape, 0.0, rng), x)
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_rejects_rate_one():
     with pytest.raises(InvalidArgumentError):
-        apply_dropout(np.ones(3), 1.0, "train", np.random.default_rng(0))
+        dropout_mask((3,), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_monte_carlo_mean_preserved():
@@ -150,7 +154,7 @@ def test_dropout_monte_carlo_mean_preserved():
     total = np.zeros(3)
     n = 100_000
     for _ in range(n):
-        total += apply_dropout(x, 0.5, "train", rng)
+        total += x * dropout_mask(x.shape, 0.5, rng)
     npt.assert_allclose(total / n, x, rtol=0.02)
 
 
@@ -173,6 +177,17 @@ def test_config_file_unknown_key(tmp_path):
     path.write_text("momentum = 0.9\n")
     with pytest.raises(InvalidArgumentError):
         parse_config_file(str(path))
+
+
+def test_non_numeric_config_value_names_key_and_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("learning_rate = fast\n")
+    with pytest.raises(InvalidArgumentError) as err:
+        parse_config_file(str(path))
+    assert "'learning_rate'" in str(err.value) and "'fast'" in str(err.value)
+    with pytest.raises(InvalidArgumentError) as err:
+        TR.apply_overrides(TrainConfig(), {"epochs": "1.5"})
+    assert "'epochs'" in str(err.value) and "'1.5'" in str(err.value)
 
 
 def test_config_validation():
@@ -297,6 +312,34 @@ def test_checkpoint_truncation_reports_offset(tmp_path):
     with pytest.raises(CheckpointFormatError) as err:
         load_checkpoint(path)
     assert "byte" in str(err.value)
+
+
+def test_checkpoint_non_utf8_name_is_format_error(tmp_path):
+    store = small_store()
+    path = str(tmp_path / "n.cvac")
+    save_checkpoint(store, path)
+    blob = bytearray(open(path, "rb").read())
+    # magic, version and entry count take 12 bytes, the first name length 2
+    assert blob[14:15] == b"a"
+    blob[14] = 0xFF
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoint(path)
+    assert "UTF-8" in str(err.value) and "byte 14" in str(err.value)
+
+
+def test_checkpoint_oversized_dims_are_format_error(tmp_path):
+    # three dims whose product overflows 64 bits must still read as truncated
+    store = ParameterStore({"a": np.ones((1, 1, 1))})
+    path = str(tmp_path / "o.cvac")
+    save_checkpoint(store, path)
+    blob = bytearray(open(path, "rb").read())
+    # magic, version, count, name length, name "a" and rank: dims start at 16
+    blob[16:28] = struct.pack("<III", 1 << 31, 1 << 31, 4)
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoint(path)
+    assert "truncated" in str(err.value)
 
 
 def test_checkpoint_bad_magic_and_version(tmp_path):
