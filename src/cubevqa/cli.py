@@ -42,10 +42,8 @@ def _out_dir(args, command):
 
 
 def _write_atomic(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    with training.atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,7 @@ def cmd_eval(args):
         manifest = json.load(fh)
     try:
         model_config = ModelConfig(**manifest["model"])
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, InvalidArgumentError) as err:
         raise data.FormatError(f"{manifest_path}: bad \"model\" entry: {err!r}") from None
     # every value is restored from the checkpoint, so the seed is irrelevant
     vqa_model = VqaModel(model_config)
@@ -268,7 +266,7 @@ def cmd_ablate(args):
 # gradcheck
 
 
-def gradcheck_model(variant, seed, literal_spatial=False, eps=1e-5):
+def gradcheck_model(variant, seed, literal_spatial=False):
     """Finite-difference check of one tiny random instance.
 
     Returns ``(max_relative_error, per_parameter)`` over every parameter of
@@ -299,7 +297,7 @@ def gradcheck_model(variant, seed, literal_spatial=False, eps=1e-5):
     def f():
         return float(vqa_model.batch_loss(None, batch, eval_leaves)[0].value)
 
-    return T.finite_difference_check(f, vqa_model.store.values(), grads, eps=eps)
+    return T.finite_difference_check(f, vqa_model.store.values(), grads)
 
 
 def _gradcheck_cell(cell):

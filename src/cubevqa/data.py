@@ -39,6 +39,7 @@ FAMILIES = (
     ("shape", ("circle", "square", "triangle", "star", "hexagon", "ring", "cross", "arrow")),
     ("size", ("tiny", "small", "medium", "large", "huge", "giant", "mini", "grand")),
 )
+TOY_COLORS = 5  # colors per block; plan_layout uses fewer when D is too small
 
 # Gain on the identity one-hots. Region matching is the hardest signal for
 # the additive-tanh region scorer to pick up (the query interacts with
@@ -270,14 +271,14 @@ class ToyLayout:
         return self.num_regions + self.num_colors * (1 + self.num_families)
 
 
-def plan_layout(k, d, colors=5, families=2):
-    """Fit the block layout into D channels, shrinking colors if needed."""
+def plan_layout(k, d):
+    """Fit the block layout into D channels, with fewer colors or families if needed."""
     if k < 2:
         raise InvalidArgumentError(f"toy tasks need at least 2 regions, got K={k}")
     if d < 8:
         raise InvalidArgumentError(f"toy tasks need at least 8 channels, got D={d}")
-    for fam in range(families, 0, -1):
-        c = min(colors, (d - k) // (1 + fam), len(COLOR_WORDS))
+    for fam in range(len(FAMILIES), 0, -1):
+        c = min(TOY_COLORS, (d - k) // (1 + fam))
         if c >= 2:
             return ToyLayout(k, c, fam, d)
     raise InvalidArgumentError(f"cannot fit identity/color/attribute blocks into D={d} with K={k}")
@@ -329,7 +330,7 @@ def channel_question(family_name):
     return ["what", family_name, "is", "the", "image"]
 
 
-def generate_toy_dataset(task, size, k, d, seed, split="train", colors=5, families=2):
+def generate_toy_dataset(task, size, k, d, seed, split="train"):
     """Seeded toy dataset: features, labeled examples, and vocabularies.
 
     ``task`` is ``spatial``, ``channel``, or ``mixed`` (a 50/50 blend). All
@@ -340,7 +341,7 @@ def generate_toy_dataset(task, size, k, d, seed, split="train", colors=5, famili
         raise InvalidArgumentError(f"unknown task {task!r}")
     if size < 1:
         raise InvalidArgumentError(f"dataset size must be >= 1, got {size}")
-    layout = plan_layout(k, d, colors=colors, families=families)
+    layout = plan_layout(k, d)
     rng = substream(seed, "data", task, split)
     container = FeatureContainer()
     examples = []
@@ -455,7 +456,10 @@ def load_pretrained_embeddings(path, question_vocab, embed_dim):
                     f"got {len(parts) - 1}")
             if parts[0] in index:
                 try:
-                    rows[index[parts[0]]] = np.array([float(x) for x in parts[1:]])
+                    vector = np.array([float(x) for x in parts[1:]])
                 except ValueError:
                     raise FormatError(f"{path}:{lineno}: non-numeric embedding value")
+                if not np.all(np.isfinite(vector)):
+                    raise FormatError(f"{path}:{lineno}: non-finite embedding value")
+                rows[index[parts[0]]] = vector
     return rows

@@ -85,7 +85,7 @@ def encode_questions_batch(tape, params, token_ids, lengths):
     if ids.ndim != 2:
         raise InvalidArgumentError(f"expected (B, T) token ids, got shape {ids.shape}")
     batch, t_max = ids.shape
-    if lengths.shape != (batch,) or np.any(lengths < 1) or np.any(lengths > t_max):
+    if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > t_max).any():
         raise InvalidArgumentError("lengths must be in [1, T_max] for every example")
     hidden = params.b_update.value.shape[0]
     h = T.constant(np.zeros((batch, hidden)))

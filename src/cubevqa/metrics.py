@@ -19,6 +19,7 @@ import numpy as np
 from .tensor import InvalidArgumentError
 
 WUPS_DOWNWEIGHT = 0.1
+EVAL_BATCH = 64  # examples per evaluation forward
 
 
 def normalize_answer(answer):
@@ -197,7 +198,7 @@ def question_type(tokens):
     return tokens[1] if len(tokens) > 1 else tokens[0]
 
 
-def evaluate(vqa_model, dataset, taxonomy=None, batch_size=64):
+def evaluate(vqa_model, dataset, taxonomy=None):
     """Run the model over a prepared dataset and aggregate all metrics.
 
     Dropout is off (evaluation mode). WUPS compares the predicted answer
@@ -208,8 +209,8 @@ def evaluate(vqa_model, dataset, taxonomy=None, batch_size=64):
     if n == 0:
         raise InvalidArgumentError("evaluate: dataset is empty")
     preds = [None] * n
-    for start in range(0, n, batch_size):
-        for batch in dataset.gather(range(start, min(start + batch_size, n))):
+    for start in range(0, n, EVAL_BATCH):
+        for batch in dataset.gather(range(start, min(start + EVAL_BATCH, n))):
             best = np.argmax(vqa_model.predict_batch(batch), axis=-1)
             for i, answer in zip(batch.indices, best):
                 preds[i] = dataset.answer_vocab[int(answer)]

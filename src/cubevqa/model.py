@@ -12,7 +12,8 @@ two variants built from the same seed share initial values for the parts
 they have in common.
 """
 
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,6 +44,10 @@ def canonical_variant(name):
     return key
 
 
+# what a field annotated int or float accepts besides the Python type itself
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real}
+
+
 @dataclass
 class ModelConfig:
     variant: str
@@ -65,11 +70,16 @@ class ModelConfig:
     channel_gain_strength: float = 0.1
 
     def __post_init__(self):
+        # a manifest.json read back by ``eval`` is outside input: every field
+        # must have its annotated type (a bool is neither an int nor a float)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _ACCEPTED.get(f.type, f.type))
+                    or (f.type is not bool and isinstance(value, bool))):
+                raise InvalidArgumentError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+            if f.type is int and value < 1:
+                raise InvalidArgumentError(f"{f.name} must be positive")
         self.variant = canonical_variant(self.variant)
-        for name in ("vocab_size", "num_answers", "feat_dim", "embed_dim",
-                     "hidden_dim", "attn_dim", "fuse_dim", "max_question_len"):
-            if getattr(self, name) < 1:
-                raise InvalidArgumentError(f"{name} must be positive")
 
     @classmethod
     def from_profile(cls, profile, **kwargs):

@@ -1,11 +1,13 @@
 """Dense-tensor engine with tape-based reverse-mode differentiation.
 
-The primitive set is closed on purpose: every model in this package is a
-composition of the operations below, so each backward rule can be audited in
-isolation. Values are numpy arrays in double precision; a ``Tensor`` is a node
-holding a forward value and a lazily allocated gradient buffer, and a ``Tape``
-records nodes in execution order so the backward sweep can replay them in
-reverse exactly once.
+The primitive set is closed on purpose: the models in this package are
+composed of exactly the operations below, so each backward rule can be
+audited in isolation. Values are numpy arrays in double precision; a
+``Tensor`` is a node holding a forward value and a lazily allocated gradient
+buffer, and a ``Tape`` records nodes in execution order so the backward
+sweep can replay them in reverse exactly once. Every primitive ends in
+``_make``, the one place the tapeless rule lives: with ``tape=None`` a
+primitive evaluates without recording.
 
 Operands are batched. An instance is a vector ``(n,)`` or a row matrix
 ``(K, n)``, and a batch puts one leading axis ``B`` in front; a single
@@ -19,7 +21,7 @@ axis. No other broadcasting exists; the two sanctioned broadcast forms are
 
 import numpy as np
 
-DTYPE = np.float64
+DTYPE = np.dtype(np.float64)
 
 
 class ShapeError(ValueError):
@@ -46,12 +48,12 @@ class Tensor:
 
     __slots__ = ("value", "grad", "_backward")
 
-    def __init__(self, value, dtype=DTYPE):
-        # fast path: op outputs are already float64 arrays
-        if type(value) is np.ndarray and value.dtype == dtype:
+    def __init__(self, value):
+        # fast path: a float64 op output's dtype is the DTYPE object itself
+        if type(value) is np.ndarray and value.dtype is DTYPE:
             self.value = value
         else:
-            self.value = np.asarray(value, dtype=dtype)
+            self.value = np.asarray(value, dtype=DTYPE)
         self.grad = None
         self._backward = None
 
@@ -72,17 +74,13 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Single-writer: a tape belongs to one logical training thread, and
-    ``backward`` may run at most once. Passing ``tape=None`` to any operation
-    evaluates it without recording (pure forward, used by the
-    finite-difference checker and by evaluation).
+    ``backward`` may run at most once. Every node on it carries a backward
+    rule; a tapeless forward (``tape=None``, see ``_make``) records nothing.
     """
 
     def __init__(self):
         self._nodes = []
         self._consumed = False
-
-    def _record(self, node):
-        self._nodes.append(node)
 
     def __len__(self):
         return len(self._nodes)
@@ -101,7 +99,7 @@ class Tape:
         self._consumed = True
         loss.grad = np.ones((), dtype=loss.value.dtype)
         for node in reversed(self._nodes):
-            if node.grad is not None and node._backward is not None:
+            if node.grad is not None:
                 node._backward(node.grad)
 
 
@@ -113,14 +111,19 @@ def _accum(tensor, grad):
 
 
 def _make(tape, value, backward):
+    """Wrap a primitive's output ``value`` as a node. With ``tape=None`` it is
+    bare: no backward, recorded nowhere, no reference to the operands.
+    Otherwise it carries ``backward`` and is appended to the tape."""
     out = Tensor(value)
+    if tape is None:
+        return out
     out._backward = backward
-    tape._record(out)
+    tape._nodes.append(out)
     return out
 
 
 def _check_finite(value, op):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise InvalidArgumentError(f"{op} produced non-finite values")
 
 
@@ -133,9 +136,6 @@ def add(tape, a, b):
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
     value = a.value + b.value
-
-    if tape is None:
-        return Tensor(value)
 
     def backward(g):
         _accum(a, g)
@@ -157,9 +157,6 @@ def add_vec(tape, m, v):
             f"add_vec: cannot broadcast vector {v.value.shape} over rows of {m.value.shape}")
     value = m.value + v.value[..., None, :]
 
-    if tape is None:
-        return Tensor(value)
-
     def backward(g):
         _accum(m, g)
         _accum(v, g.sum(axis=-2))
@@ -173,9 +170,6 @@ def add_scalar(tape, x, s):
         raise ShapeError(f"add_scalar: expected scalar, got shape {s.value.shape}")
     value = x.value + s.value
 
-    if tape is None:
-        return Tensor(value)
-
     def backward(g):
         _accum(x, g)
         _accum(s, g.sum())
@@ -188,9 +182,6 @@ def mul(tape, a, b):
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul: shapes {a.value.shape} and {b.value.shape} differ")
     value = a.value * b.value
-
-    if tape is None:
-        return Tensor(value)
 
     def backward(g):
         _accum(a, g * b.value)
@@ -208,9 +199,6 @@ def mul_vec(tape, m, v):
             f"mul_vec: cannot broadcast vector {v.value.shape} over rows of {m.value.shape}")
     vexp = v.value[..., None, :]
     value = m.value * vexp
-
-    if tape is None:
-        return Tensor(value)
 
     def backward(g):
         _accum(m, g * vexp)
@@ -230,9 +218,6 @@ def scale_rows(tape, m, w):
     wexp = w.value[..., None]
     value = m.value * wexp
 
-    if tape is None:
-        return Tensor(value)
-
     def backward(g):
         _accum(m, g * wexp)
         _accum(w, (g * m.value).sum(axis=-1))
@@ -240,25 +225,9 @@ def scale_rows(tape, m, w):
     return _make(tape, value, backward)
 
 
-def one_minus(tape, x):
-    """Compute ``1 - x`` elementwise (gate complement)."""
-    value = 1.0 - x.value
-
-    if tape is None:
-        return Tensor(value)
-
-    def backward(g):
-        _accum(x, -g)
-
-    return _make(tape, value, backward)
-
-
 def scale(tape, x, c):
     """Multiply by a Python-level constant ``c`` (not a trainable node)."""
     value = x.value * c
-
-    if tape is None:
-        return Tensor(value)
 
     def backward(g):
         _accum(x, g * c)
@@ -269,28 +238,8 @@ def scale(tape, x, c):
 def tanh(tape, x):
     value = np.tanh(x.value)
 
-    if tape is None:
-        return Tensor(value)
-
     def backward(g):
         _accum(x, (1.0 - value * value) * g)
-
-    return _make(tape, value, backward)
-
-
-def _sigmoid(a):
-    # computed through tanh for stability at large |a|
-    return 0.5 * (np.tanh(0.5 * a) + 1.0)
-
-
-def sigmoid(tape, x):
-    value = _sigmoid(x.value)
-
-    if tape is None:
-        return Tensor(value)
-
-    def backward(g):
-        _accum(x, value * (1.0 - value) * g)
 
     return _make(tape, value, backward)
 
@@ -318,9 +267,6 @@ def affine(tape, x, w, b=None):
     if b is not None:
         value = value + b.value
 
-    if tape is None:
-        return Tensor(value)
-
     def backward(g):
         _accum(x, g @ w.value)
         _accum(w, g.reshape(-1, m_dim).T @ x.value.reshape(-1, n_dim))
@@ -336,9 +282,6 @@ def matvec_last(tape, m, v):
         raise ShapeError(
             f"matvec_last: cannot contract {m.value.shape} with {v.value.shape}")
     value = m.value @ v.value
-
-    if tape is None:
-        return Tensor(value)
 
     def backward(g):
         _accum(m, g[..., None] * v.value)
@@ -403,9 +346,6 @@ def channel_scores(tape, vis, query, w):
         value[rows, cols] = np.matmul(t, wv)
     value = value.reshape(vv.shape)
 
-    if tape is None:
-        return Tensor(value)
-
     def backward(g):
         g2 = g.reshape(v2.shape)
         wq = q2 * wv   # w[j] q[j], the query side of d vis
@@ -432,6 +372,11 @@ def channel_scores(tape, vis, query, w):
 # recurrent cell
 
 
+def _sigmoid(a):
+    # computed through tanh for stability at large |a|
+    return 0.5 * (np.tanh(0.5 * a) + 1.0)
+
+
 def gru_cell(tape, x, h, active, w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c):
     """One GRU update of a batch of rows, recorded as a single node.
 
@@ -452,29 +397,22 @@ def gru_cell(tape, x, h, active, w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c):
         raise ShapeError(
             f"gru_cell: input {xv.shape}, state {hv.shape} and mask {active.shape} "
             f"do not fit weights {w_z.value.shape}")
-    keep = None if active.all() else active[:, None]
+    keep = active[:, None]
     z = _sigmoid(xv @ w_z.value.T + b_z.value + hv @ u_z.value.T)
     r = _sigmoid(xv @ w_r.value.T + b_r.value + hv @ u_r.value.T)
     rh = r * hv
     c = np.tanh(xv @ w_c.value.T + b_c.value + rh @ u_c.value.T)
-    value = z * hv + (1.0 - z) * c
-    if keep is not None:
-        value = np.where(keep, value, hv)
-
-    if tape is None:
-        return Tensor(value)
+    value = np.where(keep, z * hv + (1.0 - z) * c, hv)
 
     def backward(g):
-        g_step = g if keep is None else np.where(keep, g, 0.0)
+        g_step = np.where(keep, g, 0.0)
         d_z = g_step * (hv - c) * z * (1.0 - z)
         d_c = g_step * (1.0 - z) * (1.0 - c * c)
         d_rh = d_c @ u_c.value
         d_r = d_rh * hv * r * (1.0 - r)
         d_h = g_step * z + d_rh * r + d_z @ u_z.value + d_r @ u_r.value
-        if keep is not None:
-            d_h = np.where(keep, d_h, g)
         _accum(x, d_z @ w_z.value + d_r @ w_r.value + d_c @ w_c.value)
-        _accum(h, d_h)
+        _accum(h, np.where(keep, d_h, g))
         for d, w, u, b, state in ((d_z, w_z, u_z, b_z, hv), (d_r, w_r, u_r, b_r, hv),
                                   (d_c, w_c, u_c, b_c, rh)):
             _accum(w, d.T @ xv)
@@ -503,9 +441,6 @@ def softmax(tape, x):
     value = e / e.sum(axis=-1, keepdims=True)
     _check_finite(value, "softmax")
 
-    if tape is None:
-        return Tensor(value)
-
     def backward(g):
         inner = (g * value).sum(axis=-1, keepdims=True)
         _accum(x, value * (g - inner))
@@ -520,10 +455,7 @@ def mean_over_rows(tape, m):
     k = m.value.shape[-2]
     if k == 0:
         raise InvalidArgumentError("mean_over_rows: matrix has no rows")
-    value = m.value.mean(axis=-2)
-
-    if tape is None:
-        return Tensor(value)
+    value = m.value.sum(axis=-2) / k
 
     def backward(g):
         _accum(m, np.broadcast_to(g[..., None, :] / k, m.value.shape))
@@ -541,9 +473,6 @@ def weighted_row_sum(tape, m, w, prefactor=1.0):
             f"weighted_row_sum: weights {w.value.shape} do not match rows of {m.value.shape}")
     value = prefactor * np.einsum("...k,...kn->...n", w.value, m.value)
 
-    if tape is None:
-        return Tensor(value)
-
     def backward(g):
         _accum(m, prefactor * w.value[..., None] * g[..., None, :])
         _accum(w, prefactor * (m.value * g[..., None, :]).sum(axis=-1))
@@ -556,10 +485,7 @@ def mean_all(tape, x):
     if x.value.size == 0:
         raise InvalidArgumentError("mean_all: input is empty")
     n = x.value.size
-    value = x.value.mean()
-
-    if tape is None:
-        return Tensor(value)
+    value = x.value.sum() / n
 
     def backward(g):
         _accum(x, np.full(x.value.shape, g / n, dtype=x.value.dtype))
@@ -588,9 +514,6 @@ def embedding_lookup(tape, table, ids):
             f"embedding_lookup: id {int(ids[bad[0]])} at position {int(bad[0])} "
             f"outside vocabulary of size {vocab}")
     value = table.value[ids]
-
-    if tape is None:
-        return Tensor(value)
 
     def backward(g):
         if table.grad is None:
@@ -622,9 +545,6 @@ def cross_entropy(tape, scores, labels):
     log_z = np.log(np.exp(shifted).sum(axis=-1))
     value = log_z - shifted[rows, labels]
     _check_finite(value, "cross_entropy")
-
-    if tape is None:
-        return Tensor(value)
 
     def backward(g):
         e = np.exp(shifted)

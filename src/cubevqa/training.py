@@ -10,10 +10,13 @@ parameters.
 
 Checkpoints are a self-describing little-endian binary: magic ``CVAC``,
 version, entry count, then three sequences of named arrays (values, first
-moments, second moments) followed by the global step counter.
+moments, second moments) followed by the global step counter. A save that
+fails part way leaves the previous checkpoint in place (``atomic_writer``).
 """
 
+import contextlib
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, fields, replace
@@ -312,10 +315,28 @@ def _write_entry(fh, name, array):
     fh.write(array.astype("<f8", copy=False).tobytes(order="C"))
 
 
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A binary file on ``path + ".tmp"`` that replaces ``path`` once written.
+
+    If writing raises, the temporary file is removed and ``path`` keeps its
+    previous contents.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(store, path):
     """Serialize values, Adam moments, and the step counter."""
     names = store.names()
-    with open(path, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(names)))

@@ -320,3 +320,7 @@ def test_pretrained_embedding_loader(tmp_path):
     path.write_text("alpha 1.0\n")
     with pytest.raises(FormatError):
         D.load_pretrained_embeddings(str(path), ["<unk>", "alpha"], 2)
+    path.write_text("alpha 1.0 2.0\nbeta nan 0.5\n")
+    with pytest.raises(FormatError) as err:
+        D.load_pretrained_embeddings(str(path), ["<unk>", "alpha", "beta"], 2)
+    assert f"{path}:2" in str(err.value)

@@ -32,6 +32,13 @@ def test_variant_names_and_alias():
     assert "cva-v" in str(err.value)
 
 
+def test_config_accepts_numpy_integer_sizes():
+    config = desk_config(feat_dim=np.int64(12), num_answers=np.int32(7))
+    assert VqaModel(config, seed=0).store["clf.w_visual"].value.shape == (9, 12)
+    with pytest.raises(InvalidArgumentError):
+        desk_config(feat_dim=np.float64(12.0))
+
+
 def test_variant_parameter_sets():
     ca = VqaModel(desk_config("ca"), seed=0)
     ra = VqaModel(desk_config("ra"), seed=0)

@@ -286,6 +286,32 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         npt.assert_array_equal(fresh.store[n].v, model.store[n].v)
 
 
+def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    store = small_store()
+    store.step = 7
+    path = str(tmp_path / "c.cvac")
+    save_checkpoint(store, path)
+    before, old_a = open(path, "rb").read(), store["a"].value.copy()
+    store.step = 9
+    store.flat_value += 1.0
+    real_write_entry, calls = TR._write_entry, []
+
+    def failing_write_entry(fh, name, array):
+        calls.append(name)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        real_write_entry(fh, name, array)
+
+    monkeypatch.setattr(TR, "_write_entry", failing_write_entry)
+    with pytest.raises(OSError):
+        save_checkpoint(store, path)
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["c.cvac"]
+    entries, step = load_checkpoint(path)
+    assert step == 7
+    npt.assert_array_equal(entries["a"][0], old_a)
+
+
 def test_checkpoint_mismatched_architecture_names_parameter(tmp_path):
     prepared, model_config = toy_setup(size=30)
     model = VqaModel(model_config, seed=4)
