@@ -14,6 +14,13 @@ Four pipelines compose them: channel-then-spatial stacking, the reversed
 stacking, and the two single-attention ablations. The models pass a
 batched map ``(B, K, D)`` with ``Q`` of shape ``(B, H)``; the functions also
 accept one instance without the batch axis.
+
+Examples in a batch may have different region counts. The map is then
+zero-padded to the largest count, and every function that reads the region
+axis takes a ``RegionMask``, built once per batch from the true counts: the
+region softmax gives rows past an example's count weight 0, and region
+means and the ``1/K`` prefactor divide by the example's own count. With all
+counts equal to K (or no mask) every result is bit for bit the unpadded one.
 """
 
 from dataclasses import dataclass
@@ -22,6 +29,21 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+
+class RegionMask:
+    """The real rows of a zero-padded ``(B, K, D)`` map, from ``(B,)`` counts.
+
+    ``valid`` ``(B, K)`` marks rows ``k < counts[b]`` for the region softmax,
+    ``counts`` ``(B, 1)`` divides each example's region sum into its mean,
+    and ``inverse`` ``(B,)`` is each example's ``1/K`` prefactor.
+    """
+
+    def __init__(self, counts, k):
+        counts = np.asarray(counts, dtype=np.float64)
+        self.valid = np.arange(k) < counts[:, None]
+        self.counts = counts[:, None]
+        self.inverse = 1.0 / counts
 
 
 @dataclass
@@ -59,9 +81,9 @@ class SpatialAttentionParams:
     b_score: Tensor
 
 
-def channel_mean_pool(tape, feature_map):
-    """Per-channel mean over regions: ``(..., K, D) -> (..., D)``."""
-    return T.mean_over_rows(tape, feature_map)
+def channel_mean_pool(tape, feature_map, mask=None):
+    """Per-channel mean over each example's regions: ``(..., K, D) -> (..., D)``."""
+    return T.mean_over_rows(tape, feature_map, None if mask is None else mask.counts)
 
 
 def channel_attention(tape, channel_means, question, params):
@@ -117,8 +139,10 @@ def _channel_gains(tape, channel_weights, rescale, strength=DEFAULT_GAIN_STRENGT
                  T.constant(np.full(scaled.value.shape, 1.0 - strength)))
 
 
-def spatial_attention(tape, feature_map, question, params, tanh_after_sum=False):
-    """Score every region against the question and normalize.
+def spatial_attention(tape, feature_map, question, params, tanh_after_sum=False,
+                      mask=None):
+    """Score every region against the question and normalize over each
+    example's real regions (padded regions get weight 0).
 
     With ``tanh_after_sum=False`` the visual term alone is squashed and the
     projected question is then added to every region row:
@@ -142,18 +166,19 @@ def spatial_attention(tape, feature_map, question, params, tanh_after_sum=False)
         joint = T.add_vec(tape, T.tanh(tape, vis), query)
     scores = T.add_scalar(tape, T.matvec_last(tape, joint, params.w_score),
                           params.b_score)
-    return T.softmax(tape, scores)
+    return T.softmax(tape, scores, None if mask is None else mask.valid)
 
 
-def apply_spatial_weights(tape, spatial_weights, feature_map):
-    """Aggregate regions as ``(1/K) * sum_k eta[k] * v_k``.
+def apply_spatial_weights(tape, spatial_weights, feature_map, mask=None):
+    """Aggregate regions as ``(1/K) * sum_k eta[k] * v_k``, with K each
+    example's own region count.
 
     The 1/K prefactor is kept deliberately, so that injecting all-ones
     weights reproduces the plain per-channel mean; downstream affine layers
     absorb the constant scale.
     """
-    k = feature_map.value.shape[-2]
-    return T.weighted_row_sum(tape, feature_map, spatial_weights, prefactor=1.0 / k)
+    prefactor = 1.0 / feature_map.value.shape[-2] if mask is None else mask.inverse
+    return T.weighted_row_sum(tape, feature_map, spatial_weights, prefactor=prefactor)
 
 
 @dataclass
@@ -166,22 +191,22 @@ class AttentionReadout:
 
 def cva_forward(tape, feature_map, question, channel_params, spatial_params,
                 tanh_after_sum=False, rescale_channel_gains=True,
-                gain_strength=DEFAULT_GAIN_STRENGTH):
+                gain_strength=DEFAULT_GAIN_STRENGTH, mask=None):
     """Channel attention first, then spatial attention on the modulated map."""
-    beta = channel_attention(tape, channel_mean_pool(tape, feature_map),
+    beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
                              question, channel_params)
     modulated = apply_channel_weights(
         tape, _channel_gains(tape, beta, rescale_channel_gains, gain_strength),
         feature_map)
     eta = spatial_attention(tape, modulated, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum)
-    attended = apply_spatial_weights(tape, eta, modulated)
+                            tanh_after_sum=tanh_after_sum, mask=mask)
+    attended = apply_spatial_weights(tape, eta, modulated, mask)
     return attended, AttentionReadout(channel_weights=beta, spatial_weights=eta)
 
 
 def cva_v_forward(tape, feature_map, question, channel_params, spatial_params,
                   tanh_after_sum=False, rescale_channel_gains=True,
-                  gain_strength=DEFAULT_GAIN_STRENGTH):
+                  gain_strength=DEFAULT_GAIN_STRENGTH, mask=None):
     """Reversed stacking: spatial attention first, then channel attention.
 
     The spatial weights rescale rows without summing them (so a K x D map
@@ -189,34 +214,34 @@ def cva_v_forward(tape, feature_map, question, channel_params, spatial_params,
     once, after the channel modulation.
     """
     eta = spatial_attention(tape, feature_map, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum)
+                            tanh_after_sum=tanh_after_sum, mask=mask)
     reweighted = T.scale_rows(tape, feature_map, eta)
-    beta = channel_attention(tape, channel_mean_pool(tape, reweighted),
+    beta = channel_attention(tape, channel_mean_pool(tape, reweighted, mask),
                              question, channel_params)
     modulated = apply_channel_weights(
         tape, _channel_gains(tape, beta, rescale_channel_gains, gain_strength),
         reweighted)
-    attended = T.mean_over_rows(tape, modulated)
+    attended = channel_mean_pool(tape, modulated, mask)
     return attended, AttentionReadout(channel_weights=beta, spatial_weights=eta)
 
 
 def ca_only_forward(tape, feature_map, question, channel_params,
                     rescale_channel_gains=True,
-                    gain_strength=DEFAULT_GAIN_STRENGTH):
+                    gain_strength=DEFAULT_GAIN_STRENGTH, mask=None):
     """Channel attention only; regions are aggregated by the plain mean."""
-    beta = channel_attention(tape, channel_mean_pool(tape, feature_map),
+    beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
                              question, channel_params)
     modulated = apply_channel_weights(
         tape, _channel_gains(tape, beta, rescale_channel_gains, gain_strength),
         feature_map)
-    attended = T.mean_over_rows(tape, modulated)
+    attended = channel_mean_pool(tape, modulated, mask)
     return attended, AttentionReadout(channel_weights=beta)
 
 
 def ra_only_forward(tape, feature_map, question, spatial_params,
-                    tanh_after_sum=False):
+                    tanh_after_sum=False, mask=None):
     """Region attention only, computed and applied on the raw map."""
     eta = spatial_attention(tape, feature_map, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum)
-    attended = apply_spatial_weights(tape, eta, feature_map)
+                            tanh_after_sum=tanh_after_sum, mask=mask)
+    attended = apply_spatial_weights(tape, eta, feature_map, mask)
     return attended, AttentionReadout(spatial_weights=eta)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import InvalidArgumentError
-from .training import ByteReader, substream
+from .training import ByteReader, read_file, substream
 
 UNKNOWN_TOKEN = "<unk>"
 HUMAN_ANSWERS_PER_QUESTION = 10
@@ -112,9 +112,8 @@ def write_features(container, path):
 
 
 def load_features(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    reader = ByteReader(data, path, FormatError)
+    """Parse a CVAF file; every record is a read-only view of its one buffer."""
+    reader = ByteReader(read_file(path), path, FormatError)
     if reader.take(4, "magic") != _FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0")
     (version,) = reader.unpack("<I", "version")
@@ -379,7 +378,7 @@ class PreparedDataset:
     """Examples joined with their features and encoded against vocabularies."""
 
     examples: list
-    features: list      # per-example (K, D) float64 arrays
+    features: list      # per-example (K, D) float32 maps, the container's own arrays
     token_ids: list     # per-example (T,) int64 arrays
     labels: np.ndarray  # (N,) int64
     question_vocab: list
@@ -389,32 +388,26 @@ class PreparedDataset:
         return len(self.examples)
 
     def gather(self, indices):
-        """Stack the selected examples into batches grouped by region count.
+        """Stack the selected examples, in order, into one padded batch.
 
-        Groups come in order of first appearance, and each batch records its
-        examples' dataset positions in ``indices``. Token ids pad with zeros
-        to the longest question in each group; the encoder carries each
-        example's state past its true length, so padding never changes the
-        encoding.
+        Region maps are cast to float64 and zero-padded to the batch's
+        largest region count, token ids to its longest question, and the
+        batch records each example's true region count and question length.
+        Attention masks the regions past each count and the encoder carries
+        each example's state past its length, so padding never changes a
+        result. Returns a one-element list holding the batch.
         """
         from .model import Batch
-        groups = {}
-        for i in indices:
-            groups.setdefault(self.features[int(i)].shape[0], []).append(int(i))
-        batches = []
-        for chosen in groups.values():
-            t_max = max(self.token_ids[i].size for i in chosen)
-            ids = np.zeros((len(chosen), t_max), dtype=np.int64)
-            lengths = np.zeros(len(chosen), dtype=np.int64)
-            for row, i in enumerate(chosen):
-                ids[row, :self.token_ids[i].size] = self.token_ids[i]
-                lengths[row] = self.token_ids[i].size
-            batches.append(Batch(
-                features=np.stack([self.features[i] for i in chosen]),
-                token_ids=ids, lengths=lengths,
-                labels=np.array([self.labels[i] for i in chosen], dtype=np.int64),
-                indices=chosen))
-        return batches
+        chosen = [int(i) for i in indices]
+        counts = np.array([self.features[i].shape[0] for i in chosen], dtype=np.int64)
+        lengths = np.array([self.token_ids[i].size for i in chosen], dtype=np.int64)
+        features = np.zeros((len(chosen), counts.max(), self.features[chosen[0]].shape[1]))
+        ids = np.zeros((len(chosen), lengths.max()), dtype=np.int64)
+        for row, i in enumerate(chosen):
+            features[row, :counts[row]] = self.features[i]
+            ids[row, :lengths[row]] = self.token_ids[i]
+        return [Batch(features=features, token_ids=ids, lengths=lengths,
+                      labels=self.labels[chosen], region_counts=counts)]
 
 
 def prepare_dataset(container, examples, question_vocab, answer_vocab, max_question_len=26):
@@ -430,7 +423,7 @@ def prepare_dataset(container, examples, question_vocab, answer_vocab, max_quest
             raise InvalidArgumentError(
                 f"question for {ex.image_id!r} has {len(ex.tokens)} tokens, "
                 f"maximum is {max_question_len}")
-        features.append(container[ex.image_id].astype(np.float64))
+        features.append(container[ex.image_id])
         token_ids.append(encode_tokens(ex.tokens, index))
         labels[n] = ex.train_label
     return PreparedDataset(examples, features, token_ids, labels,

@@ -208,12 +208,11 @@ def evaluate(vqa_model, dataset, taxonomy=None):
     n = dataset.size()
     if n == 0:
         raise InvalidArgumentError("evaluate: dataset is empty")
-    preds = [None] * n
+    preds = []
     for start in range(0, n, EVAL_BATCH):
-        for batch in dataset.gather(range(start, min(start + EVAL_BATCH, n))):
-            best = np.argmax(vqa_model.predict_batch(batch), axis=-1)
-            for i, answer in zip(batch.indices, best):
-                preds[i] = dataset.answer_vocab[int(answer)]
+        (batch,) = dataset.gather(range(start, min(start + EVAL_BATCH, n)))
+        best = np.argmax(vqa_model.predict_batch(batch), axis=-1)
+        preds.extend(dataset.answer_vocab[int(answer)] for answer in best)
     scores_per_example = []
     per_type = {}
     for i, ex in enumerate(dataset.examples):

@@ -12,8 +12,9 @@ two variants built from the same seed share initial values for the parts
 they have in common.
 """
 
+import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -79,6 +80,8 @@ class ModelConfig:
                 raise InvalidArgumentError(f"{f.name} must be {f.type.__name__}, got {value!r}")
             if f.type is int and value < 1:
                 raise InvalidArgumentError(f"{f.name} must be positive")
+            if f.type is float and not math.isfinite(value):
+                raise InvalidArgumentError(f"{f.name} must be finite, got {value!r}")
         self.variant = canonical_variant(self.variant)
 
     @classmethod
@@ -95,13 +98,31 @@ class ModelConfig:
 
 @dataclass
 class Batch:
-    """Aligned training arrays for a set of examples sharing one K."""
+    """Aligned arrays for a batch of examples, padded to a common K and T.
+
+    Example ``b`` has ``region_counts[b]`` regions, the first rows of its
+    ``(K, D)`` map; the rows past its count must be zero (``gather`` pads
+    with zeros). Omitted counts mean every row is a region. The attention
+    mask is built from the counts once, here, and serves every forward pass
+    over the batch.
+    """
 
     features: np.ndarray   # (B, K, D) float64
     token_ids: np.ndarray  # (B, T_max) int64, padded with 0 past each length
     lengths: np.ndarray    # (B,) int64
     labels: np.ndarray     # (B,) int64
-    indices: list = None   # dataset position of each row, set by ``gather``
+    region_counts: np.ndarray = None  # (B,) int64, each in [1, K]
+    region_mask: attention.RegionMask = field(init=False, repr=False)
+
+    def __post_init__(self):
+        batch, k = self.features.shape[:2]
+        if self.region_counts is None:
+            self.region_counts = np.full(batch, k, dtype=np.int64)
+        counts = self.region_counts = np.asarray(self.region_counts, dtype=np.int64)
+        if counts.shape != (batch,) or (counts < 1).any() or (counts > k).any():
+            raise InvalidArgumentError(
+                f"region counts must be a ({batch},) vector in [1, {k}], got {counts}")
+        self.region_mask = attention.RegionMask(counts, k)
 
 
 class VqaModel:
@@ -187,24 +208,25 @@ class VqaModel:
 
     # -- forward passes -----------------------------------------------------
 
-    def _attend(self, tape, features, question, chan, spat):
+    def _attend(self, tape, features, question, chan, spat, mask):
         cfg = self.config
         if cfg.variant == "ca":
             return attention.ca_only_forward(
-                tape, features, question, chan,
+                tape, features, question, chan, mask=mask,
                 rescale_channel_gains=cfg.rescale_channel_gains,
                 gain_strength=cfg.channel_gain_strength)
         if cfg.variant == "ra":
             return attention.ra_only_forward(tape, features, question, spat,
+                                             mask=mask,
                                              tanh_after_sum=cfg.tanh_after_sum)
         if cfg.variant == "cva":
             return attention.cva_forward(
-                tape, features, question, chan, spat,
+                tape, features, question, chan, spat, mask=mask,
                 tanh_after_sum=cfg.tanh_after_sum,
                 rescale_channel_gains=cfg.rescale_channel_gains,
                 gain_strength=cfg.channel_gain_strength)
         return attention.cva_v_forward(
-            tape, features, question, chan, spat,
+            tape, features, question, chan, spat, mask=mask,
             tanh_after_sum=cfg.tanh_after_sum,
             rescale_channel_gains=cfg.rescale_channel_gains,
             gain_strength=cfg.channel_gain_strength)
@@ -214,7 +236,7 @@ class VqaModel:
         question = encoder.encode_questions_batch(tape, enc, batch.token_ids,
                                                   batch.lengths)
         attended, readout = self._attend(tape, T.constant(batch.features),
-                                         question, chan, spat)
+                                         question, chan, spat, batch.region_mask)
         mask = None
         if dropout_rate > 0.0 and dropout_rng is not None:
             mask = T.constant(dropout_mask((batch.labels.size, self.config.fuse_dim),
@@ -224,35 +246,27 @@ class VqaModel:
         return scores, readout
 
     def batch_loss(self, tape, batch, leaves, dropout_rate=0.0, dropout_rng=None):
-        """Mean cross-entropy over one same-K batch; returns ``(loss, scores)``
-        with a scalar loss node and the ``(B, A)`` scores."""
+        """Mean cross-entropy over one padded batch; returns ``(loss, scores)``
+        with a scalar loss node and the ``(B, A)`` scores. Each example
+        attends over its own ``region_counts`` rows only."""
         scores, _ = self._forward_batch(tape, batch, leaves, dropout_rate, dropout_rng)
         loss = T.mean_all(tape, classifier.answer_loss(tape, scores, batch.labels))
         return loss, scores
 
-    def train_step_forward_backward(self, groups, dropout_rate=0.0, dropout_rng=None):
+    def train_step_forward_backward(self, batches, dropout_rate=0.0, dropout_rng=None):
         """One recorded forward/backward over a batch; fills store gradients.
 
-        ``groups`` is the list of same-K sub-batches one shuffled batch splits
-        into. The loss is the mean cross-entropy over all examples in the
-        batch. Returns ``(loss_value, predictions, labels)`` with the last two
-        concatenated across groups.
+        ``batches`` is the one-element list ``PreparedDataset.gather`` returns.
+        The loss is the mean cross-entropy over the batch's examples. Returns
+        ``(loss_value, predictions, labels)``.
         """
+        (batch,) = batches
         tape = T.Tape()
         self.store.flat_grad.fill(0.0)
-        leaves = self.leaves()
-        total = sum(g.labels.size for g in groups)
-        loss = None
-        predictions = []
-        labels = []
-        for g in groups:
-            mean, scores = self.batch_loss(tape, g, leaves, dropout_rate, dropout_rng)
-            part = T.scale(tape, mean, g.labels.size / total)
-            loss = part if loss is None else T.add(tape, loss, part)
-            predictions.append(np.argmax(scores.value, axis=-1))
-            labels.append(g.labels)
+        loss, scores = self.batch_loss(tape, batch, self.leaves(), dropout_rate,
+                                       dropout_rng)
         tape.backward(loss)
-        return float(loss.value), np.concatenate(predictions), np.concatenate(labels)
+        return float(loss.value), np.argmax(scores.value, axis=-1), batch.labels
 
     def predict_batch(self, batch):
         """Evaluation-mode scores ``(B, A)``; dropout off, nothing recorded."""

@@ -426,17 +426,21 @@ def gru_cell(tape, x, h, active, w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c):
 # reductions and normalizers
 
 
-def softmax(tape, x):
+def softmax(tape, x, valid=None):
     """Shift-stable softmax over the last axis.
 
     Output entries sum to one along that axis and are strictly positive
     whenever the score spread stays under ~745 (beyond that, exp underflows
     to zero even in double precision; the max-shift keeps the large end
-    finite for any input magnitude).
+    finite for any input magnitude). ``valid``, a boolean mask of ``x``'s
+    shape, is a key-padding mask: entries outside it are set to ``-inf``
+    before the max-shift, so they get weight exactly 0 and gradient 0. Every
+    row must keep at least one valid entry.
     """
     if x.value.size == 0:
         raise InvalidArgumentError("softmax: input is empty")
-    shifted = x.value - x.value.max(axis=-1, keepdims=True)
+    scores = x.value if valid is None else np.where(valid, x.value, -np.inf)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     value = e / e.sum(axis=-1, keepdims=True)
     _check_finite(value, "softmax")
@@ -448,17 +452,24 @@ def softmax(tape, x):
     return _make(tape, value, backward)
 
 
-def mean_over_rows(tape, m):
-    """Mean of the rows of ``m``: ``(..., K, n) -> (..., n)``."""
+def mean_over_rows(tape, m, counts=None):
+    """Mean of the rows of ``m``: ``(..., K, n) -> (..., n)``.
+
+    ``counts`` gives each instance's own row count as a column, shape
+    ``m.shape[:-2] + (1,)``: only its first ``counts`` rows are real, the rows
+    past them must be zero, and the row sum is divided by ``counts`` instead
+    of K. Omitted, all K rows count.
+    """
     if m.value.ndim < 2:
         raise ShapeError(f"mean_over_rows: expected a matrix, got shape {m.value.shape}")
     k = m.value.shape[-2]
     if k == 0:
         raise InvalidArgumentError("mean_over_rows: matrix has no rows")
-    value = m.value.sum(axis=-2) / k
+    divisor = k if counts is None else counts
+    value = m.value.sum(axis=-2) / divisor
 
     def backward(g):
-        _accum(m, np.broadcast_to(g[..., None, :] / k, m.value.shape))
+        _accum(m, np.broadcast_to((g / divisor)[..., None, :], m.value.shape))
 
     return _make(tape, value, backward)
 
@@ -466,16 +477,19 @@ def mean_over_rows(tape, m):
 def weighted_row_sum(tape, m, w, prefactor=1.0):
     """``prefactor * sum_k w[k] * m[k, :]`` over the row axis.
 
-    ``m`` has shape ``(..., K, n)`` and ``w`` shape ``(..., K)``.
+    ``m`` has shape ``(..., K, n)`` and ``w`` shape ``(..., K)``;
+    ``prefactor`` is a constant, or one constant per instance with shape
+    ``m.shape[:-2]``.
     """
     if m.value.ndim < 2 or w.value.shape != m.value.shape[:-1]:
         raise ShapeError(
             f"weighted_row_sum: weights {w.value.shape} do not match rows of {m.value.shape}")
-    value = prefactor * np.einsum("...k,...kn->...n", w.value, m.value)
+    factor = np.asarray(prefactor)[..., None]
+    value = factor * np.einsum("...k,...kn->...n", w.value, m.value)
 
     def backward(g):
-        _accum(m, prefactor * w.value[..., None] * g[..., None, :])
-        _accum(w, prefactor * (m.value * g[..., None, :]).sum(axis=-1))
+        _accum(m, factor[..., None] * w.value[..., None] * g[..., None, :])
+        _accum(w, factor * (m.value * g[..., None, :]).sum(axis=-1))
 
     return _make(tape, value, backward)
 

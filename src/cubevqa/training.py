@@ -283,16 +283,15 @@ def train_epoch(model, dataset, config, epoch):
     total_loss = 0.0
     total_correct = 0
     for batch_index, start in enumerate(range(0, n, config.batch_size)):
-        groups = dataset.gather(order[start:start + config.batch_size])
-        count = sum(g.labels.size for g in groups)
+        chosen = order[start:start + config.batch_size]
         loss_value, predictions, labels = model.train_step_forward_backward(
-            groups, dropout_rate=config.dropout, dropout_rng=drop_rng)
+            dataset.gather(chosen), dropout_rate=config.dropout, dropout_rng=drop_rng)
         if not np.isfinite(loss_value):
             raise InvalidArgumentError(
                 f"non-finite loss in epoch {epoch}, batch {batch_index}")
         clip_gradients(model.store, config.clip_norm)
         adam_step(model.store, config)
-        total_loss += loss_value * count
+        total_loss += loss_value * chosen.size
         total_correct += int(np.sum(predictions == labels))
     return total_loss / n, total_correct / n
 
@@ -320,13 +319,22 @@ def atomic_writer(path):
     """A binary file on ``path + ".tmp"`` that replaces ``path`` once written.
 
     If writing raises, the temporary file is removed and ``path`` keeps its
-    previous contents.
+    previous contents. The file is fsynced before the rename and its
+    directory after it, so a power loss leaves either the old file or the
+    complete new one.
     """
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
@@ -346,13 +354,29 @@ def save_checkpoint(store, path):
         fh.write(struct.pack("<Q", store.step))
 
 
+def read_file(path):
+    """The whole file at ``path`` as a read-only byte memoryview.
+
+    One ``readinto`` fills one uninitialized numpy buffer, so a reader's
+    slices of it are views that copy nothing. The file is read rather than
+    memory-mapped: a mapped file truncated by another process raises SIGBUS
+    on access, where a read file parses to the format's own error.
+    """
+    with open(path, "rb") as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        filled = fh.readinto(buf)
+    buf.flags.writeable = False
+    return memoryview(buf)[:filled]
+
+
 class ByteReader:
     """Bounds-checked reads from a little-endian binary container.
 
     The CVAC checkpoint and the CVAF feature container both parse through
-    it. Every failure (a truncated field, a name that is not UTF-8, trailing
-    bytes) raises the container's own ``error`` class, naming the file and
-    the byte offset.
+    it. ``take`` hands out slices of ``data`` (a memoryview from
+    ``read_file``), so a payload is a view, never a copy. Every failure (a
+    truncated field, a name that is not UTF-8, trailing bytes) raises the
+    container's own ``error`` class, naming the file and the byte offset.
     """
 
     def __init__(self, data, path, error):
@@ -377,7 +401,7 @@ class ByteReader:
         (size,) = self.unpack("<H", f"{what} length")
         start = self.offset
         try:
-            return self.take(size, what).decode("utf-8")
+            return str(self.take(size, what), "utf-8")
         except UnicodeDecodeError:
             raise self.error(f"{self.path}: {what} at byte {start} is not UTF-8") from None
 
@@ -392,15 +416,14 @@ def _read_entry(reader):
     (rank,) = reader.unpack("<B", f"rank of {name}")
     shape = reader.unpack(f"<{rank}I", f"dims of {name}")
     payload = reader.take(8 * math.prod(shape), f"payload of {name}")
-    array = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-    return name, array
+    return name, np.frombuffer(payload, dtype="<f8").reshape(shape)
 
 
 def load_checkpoint(path):
-    """Parse a checkpoint into ({name: (value, m, v)}, step)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    reader = ByteReader(data, path, CheckpointFormatError)
+    """Parse a checkpoint into ({name: (value, m, v)}, step).
+
+    The arrays are read-only views of the file's one buffer."""
+    reader = ByteReader(read_file(path), path, CheckpointFormatError)
     if reader.take(4, "magic") != _MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic at byte 0")
     (version,) = reader.unpack("<I", "version")

@@ -268,7 +268,8 @@ def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_
 @pytest.mark.parametrize("field,value", [
     ("feat_dim", 8.5), ("hidden_dim", True), ("max_question_len", "26"), ("variant", 5),
     ("channel_gain_strength", "x"), ("tanh_after_sum", "no"),
-    ("rescale_channel_gains", 1),
+    ("rescale_channel_gains", 1), ("channel_gain_strength", float("nan")),
+    ("channel_gain_strength", float("inf")),
 ])
 def test_eval_wrongly_typed_model_field_is_format_error(trained_run, tiny_dataset,
                                                         tmp_path, capsys, field, value):

@@ -1,8 +1,12 @@
 """Feature container format, toy generator, vocabularies, dataset lines."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubevqa.data as D
 from cubevqa.data import (FeatureContainer, FormatError, VqaExample, build_vocab,
@@ -81,6 +85,64 @@ def test_non_utf8_image_id_is_format_error(tmp_path):
     with pytest.raises(FormatError) as err:
         load_features(path)
     assert "UTF-8" in str(err.value) and "byte 14" in str(err.value)
+
+
+def small_container_file(tmp_path):
+    container = FeatureContainer()
+    container.add("img", np.arange(6.0).reshape(2, 3))
+    container.add("second", -np.ones((1, 3)))
+    path = str(tmp_path / "s.cvaf")
+    write_features(container, path)
+    return path, open(path, "rb").read()
+
+
+def test_container_cut_at_every_offset_names_the_offset(tmp_path):
+    path, blob = small_container_file(tmp_path)
+    for cut in range(len(blob)):
+        open(path, "wb").write(blob[:cut])
+        with pytest.raises(FormatError) as err:
+            load_features(path)
+        offset = re.search(r"at byte (\d+)", str(err.value))
+        assert offset and int(offset.group(1)) <= cut, (cut, str(err.value))
+
+
+# after the magic (bytes 0-3, tested on its own above): version, record
+# count and the first id's length (4-13), the id "img" (14-16), its K and D
+# (17-24)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flips=st.lists(st.tuples(st.integers(4, 24), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+def test_flipped_header_or_id_bytes_raise_only_documented_errors(tmp_path_factory, flips):
+    path, blob = small_container_file(tmp_path_factory.mktemp("flip"))
+    blob = bytearray(blob)
+    for position, mask in flips:
+        blob[position] ^= mask
+    open(path, "wb").write(bytes(blob))
+    try:
+        load_features(path)
+    except (FormatError, InvalidArgumentError):
+        pass
+
+
+def owner(array):
+    """The object that owns ``array``'s memory, through views and memoryviews."""
+    while True:
+        base = array.base
+        if isinstance(base, memoryview):
+            base = base.obj
+        if base is None:
+            return array
+        array = base
+
+
+def test_loaded_records_are_views_of_one_buffer(tmp_path):
+    path, _ = small_container_file(tmp_path)
+    loaded = load_features(path)
+    first, second = loaded["img"], loaded["second"]
+    assert owner(first) is owner(second)
+    assert not first.flags.writeable
+    npt.assert_array_equal(first, np.arange(6.0).reshape(2, 3))
+    npt.assert_array_equal(second, -np.ones((1, 3)))
 
 
 def test_container_validation():
@@ -283,7 +345,7 @@ def test_prepare_dataset_and_gather_groups():
     npt.assert_array_equal(batches[0].labels, prepared.labels[:5])
 
 
-def test_gather_splits_mixed_region_counts():
+def test_gather_pads_mixed_region_counts():
     container = FeatureContainer()
     container.add("a", np.ones((3, 8)))
     container.add("b", np.ones((5, 8)))
@@ -291,8 +353,13 @@ def test_gather_splits_mixed_region_counts():
                 VqaExample("b", ["what", "color"], ["red"] * 10, 1)]
     prepared = prepare_dataset(container, examples, ["<unk>", "color", "what"],
                                ["<unk>", "red"])
-    batches = prepared.gather([0, 1])
-    assert sorted(b.features.shape[1] for b in batches) == [3, 5]
+    (batch,) = prepared.gather([1, 0])
+    assert sorted(batch.region_counts) == [3, 5]
+    npt.assert_array_equal(batch.region_counts, [5, 3])
+    assert batch.features.shape == (2, 5, 8)
+    npt.assert_array_equal(batch.features[0], np.ones((5, 8)))
+    npt.assert_array_equal(batch.features[1, :3], np.ones((3, 8)))
+    npt.assert_array_equal(batch.features[1, 3:], np.zeros((2, 8)))
 
 
 def test_prepare_dataset_missing_features():

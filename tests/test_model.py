@@ -39,6 +39,13 @@ def test_config_accepts_numpy_integer_sizes():
         desk_config(feat_dim=np.float64(12.0))
 
 
+@pytest.mark.parametrize("strength", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_gain_strength(strength):
+    with pytest.raises(InvalidArgumentError) as err:
+        desk_config(channel_gain_strength=strength)
+    assert "channel_gain_strength" in str(err.value)
+
+
 def test_variant_parameter_sets():
     ca = VqaModel(desk_config("ca"), seed=0)
     ra = VqaModel(desk_config("ra"), seed=0)
@@ -116,15 +123,72 @@ def test_batched_gradients_match_instance_sum(variant):
                             err_msg=n)
 
 
+def pad_regions(batch, k):
+    """``batch`` with its maps zero-padded to ``k`` regions, counts kept."""
+    b, k0, d = batch.features.shape
+    features = np.zeros((b, k, d))
+    features[:, :k0] = batch.features
+    return Batch(features=features, token_ids=batch.token_ids, lengths=batch.lengths,
+                 labels=batch.labels, region_counts=batch.region_counts)
+
+
+def concat_batches(*batches):
+    """One padded batch holding the examples of ``batches`` in order."""
+    k = max(b.features.shape[1] for b in batches)
+    t = max(b.token_ids.shape[1] for b in batches)
+    padded = [pad_regions(b, k) for b in batches]
+    ids = [np.pad(b.token_ids, ((0, 0), (0, t - b.token_ids.shape[1]))) for b in batches]
+    return Batch(features=np.concatenate([b.features for b in padded]),
+                 token_ids=np.concatenate(ids),
+                 lengths=np.concatenate([b.lengths for b in batches]),
+                 labels=np.concatenate([b.labels for b in batches]),
+                 region_counts=np.concatenate([b.region_counts for b in batches]))
+
+
 def test_mixed_region_counts_in_one_step():
     config = desk_config("cva")
     model = VqaModel(config, seed=4)
     b1 = make_batch(config, batch=3, k=4, seed=1)
     b2 = make_batch(config, batch=2, k=6, seed=2)
-    loss, preds, labels = model.train_step_forward_backward([b1, b2])
+    loss, preds, labels = model.train_step_forward_backward([concat_batches(b1, b2)])
     assert np.isfinite(loss)
     assert preds.shape == (5,)
     assert labels.shape == (5,)
+
+
+@pytest.mark.parametrize("tanh_after_sum", [True, False])
+@pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
+def test_padded_regions_leave_loss_and_gradients_unchanged(variant, tanh_after_sum):
+    config = desk_config(variant, tanh_after_sum=tanh_after_sum)
+    batch = make_batch(config, batch=3, k=4, seed=7)
+    results = []
+    for padded in (batch, pad_regions(batch, 7)):
+        model = VqaModel(config, seed=8)
+        loss, _, _ = model.train_step_forward_backward([padded])
+        results.append((loss, model.store.flat_grad.copy()))
+    (loss, grad), (padded_loss, padded_grad) = results
+    assert abs(padded_loss - loss) <= 1e-15
+    assert np.abs(padded_grad - grad).max() <= 1e-15
+
+
+@pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
+def test_mixed_region_count_batch_matches_each_example_alone(variant):
+    config = desk_config(variant)
+    model = VqaModel(config, seed=9)
+    singles = [make_batch(config, batch=1, k=k, seed=10 + i)
+               for i, k in enumerate((3, 1, 6, 4, 6))]
+    scores = model.predict_batch(concat_batches(*singles))
+    for row, single in enumerate(singles):
+        npt.assert_allclose(scores[row], model.predict_batch(single)[0], rtol=0,
+                            atol=1e-12)
+
+
+def test_batch_rejects_region_counts_outside_the_map():
+    batch = make_batch(desk_config(), batch=2, k=4)
+    for counts in ([4, 5], [0, 4], [4], [[4, 4]]):
+        with pytest.raises(InvalidArgumentError):
+            Batch(features=batch.features, token_ids=batch.token_ids,
+                  lengths=batch.lengths, labels=batch.labels, region_counts=counts)
 
 
 def test_desk_cva_step_never_holds_the_joint_channel_map(monkeypatch):

@@ -1,6 +1,8 @@
 """Adam, clipping, dropout, the epoch loop, and checkpoint persistence."""
 
 import os
+import re
+import stat
 import struct
 
 import numpy as np
@@ -312,6 +314,42 @@ def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
     npt.assert_array_equal(entries["a"][0], old_a)
 
 
+def test_atomic_writer_fsyncs_file_before_rename_and_directory_after(tmp_path,
+                                                                     monkeypatch):
+    path = str(tmp_path / "c.cvac")
+    save_checkpoint(small_store(), path)
+    before = open(path, "rb").read()
+    events = []
+    real_replace = os.replace
+
+    def record_fsync(fd):
+        mode = os.fstat(fd).st_mode
+        events.append("fsync dir" if stat.S_ISDIR(mode) else "fsync file")
+
+    def record_replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    store = small_store(seed=1)
+    save_checkpoint(store, path)
+    assert events == ["fsync file", "replace", "fsync dir"]
+    npt.assert_array_equal(load_checkpoint(path)[0]["a"][0], store["a"].value)
+
+    # a write whose fsync fails leaves the previous file and no temporary
+    save_checkpoint(small_store(), path)
+
+    def failing_fsync(fd):
+        raise OSError("I/O error")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError):
+        save_checkpoint(small_store(seed=2), path)
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["c.cvac"]
+
+
 def test_checkpoint_mismatched_architecture_names_parameter(tmp_path):
     prepared, model_config = toy_setup(size=30)
     model = VqaModel(model_config, seed=4)
@@ -338,6 +376,19 @@ def test_checkpoint_truncation_reports_offset(tmp_path):
     with pytest.raises(CheckpointFormatError) as err:
         load_checkpoint(path)
     assert "byte" in str(err.value)
+
+
+def test_checkpoint_cut_at_every_offset_names_the_offset(tmp_path):
+    store = small_store()
+    path = str(tmp_path / "cut.cvac")
+    save_checkpoint(store, path)
+    blob = open(path, "rb").read()
+    for cut in range(len(blob)):
+        open(path, "wb").write(blob[:cut])
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(path)
+        offset = re.search(r"at byte (\d+)", str(err.value))
+        assert offset and int(offset.group(1)) <= cut, (cut, str(err.value))
 
 
 def test_checkpoint_non_utf8_name_is_format_error(tmp_path):
