@@ -1,8 +1,9 @@
 """Channel and region attention over object-region feature maps.
 
-The visual input is a feature map ``V`` of shape ``(K, D)``: ``K`` detected
-object regions, each described by ``D`` feature channels. Two attention
-mechanisms condition on a question encoding ``Q``:
+The visual input is a batch of feature maps ``V`` of shape ``(B, K, D)``:
+``K`` detected object regions per image, each described by ``D`` feature
+channels; a single image is a batch of one. Two attention mechanisms
+condition on a question encoding ``Q`` of shape ``(B, H)``:
 
 * channel attention produces a distribution ``beta`` over the ``D`` channels,
   computed from the per-channel mean of the map (so it is invariant to the
@@ -11,16 +12,15 @@ mechanisms condition on a question encoding ``Q``:
   (equivariant to region order).
 
 Four pipelines compose them: channel-then-spatial stacking, the reversed
-stacking, and the two single-attention ablations. The models pass a
-batched map ``(B, K, D)`` with ``Q`` of shape ``(B, H)``; the functions also
-accept one instance without the batch axis.
+stacking, and the two single-attention ablations.
 
 Examples in a batch may have different region counts. The map is then
 zero-padded to the largest count, and every function that reads the region
-axis takes a ``RegionMask``, built once per batch from the true counts: the
-region softmax gives rows past an example's count weight 0, and region
-means and the ``1/K`` prefactor divide by the example's own count. With all
-counts equal to K (or no mask) every result is bit for bit the unpadded one.
+axis takes the map's ``RegionMask``, built once per batch from the true
+counts: the region softmax gives rows past an example's count weight 0, and
+region means and the ``1/K`` prefactor divide by the example's own count.
+A map and its mask always travel together; with all counts equal to K every
+result is bit for bit the unpadded one.
 """
 
 from dataclasses import dataclass
@@ -81,9 +81,9 @@ class SpatialAttentionParams:
     b_score: Tensor
 
 
-def channel_mean_pool(tape, feature_map, mask=None):
-    """Per-channel mean over each example's regions: ``(..., K, D) -> (..., D)``."""
-    return T.mean_over_rows(tape, feature_map, None if mask is None else mask.counts)
+def channel_mean_pool(tape, feature_map, mask):
+    """Per-channel mean over each example's regions: ``(B, K, D) -> (B, D)``."""
+    return T.mean_over_rows(tape, feature_map, mask.counts)
 
 
 def channel_attention(tape, channel_means, question, params):
@@ -139,8 +139,8 @@ def _channel_gains(tape, channel_weights, rescale, strength=DEFAULT_GAIN_STRENGT
                  T.constant(np.full(scaled.value.shape, 1.0 - strength)))
 
 
-def spatial_attention(tape, feature_map, question, params, tanh_after_sum=False,
-                      mask=None):
+def spatial_attention(tape, feature_map, mask, question, params,
+                      tanh_after_sum=False):
     """Score every region against the question and normalize over each
     example's real regions (padded regions get weight 0).
 
@@ -166,10 +166,10 @@ def spatial_attention(tape, feature_map, question, params, tanh_after_sum=False,
         joint = T.add_vec(tape, T.tanh(tape, vis), query)
     scores = T.add_scalar(tape, T.matvec_last(tape, joint, params.w_score),
                           params.b_score)
-    return T.softmax(tape, scores, None if mask is None else mask.valid)
+    return T.softmax(tape, scores, mask.valid)
 
 
-def apply_spatial_weights(tape, spatial_weights, feature_map, mask=None):
+def apply_spatial_weights(tape, spatial_weights, feature_map, mask):
     """Aggregate regions as ``(1/K) * sum_k eta[k] * v_k``, with K each
     example's own region count.
 
@@ -177,8 +177,7 @@ def apply_spatial_weights(tape, spatial_weights, feature_map, mask=None):
     weights reproduces the plain per-channel mean; downstream affine layers
     absorb the constant scale.
     """
-    prefactor = 1.0 / feature_map.value.shape[-2] if mask is None else mask.inverse
-    return T.weighted_row_sum(tape, feature_map, spatial_weights, prefactor=prefactor)
+    return T.weighted_row_sum(tape, feature_map, spatial_weights, mask.inverse)
 
 
 @dataclass
@@ -189,32 +188,32 @@ class AttentionReadout:
     spatial_weights: Tensor = None
 
 
-def cva_forward(tape, feature_map, question, channel_params, spatial_params,
+def cva_forward(tape, feature_map, mask, question, channel_params, spatial_params,
                 tanh_after_sum=False, rescale_channel_gains=True,
-                gain_strength=DEFAULT_GAIN_STRENGTH, mask=None):
+                gain_strength=DEFAULT_GAIN_STRENGTH):
     """Channel attention first, then spatial attention on the modulated map."""
     beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
                              question, channel_params)
     modulated = apply_channel_weights(
         tape, _channel_gains(tape, beta, rescale_channel_gains, gain_strength),
         feature_map)
-    eta = spatial_attention(tape, modulated, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum, mask=mask)
+    eta = spatial_attention(tape, modulated, mask, question, spatial_params,
+                            tanh_after_sum=tanh_after_sum)
     attended = apply_spatial_weights(tape, eta, modulated, mask)
     return attended, AttentionReadout(channel_weights=beta, spatial_weights=eta)
 
 
-def cva_v_forward(tape, feature_map, question, channel_params, spatial_params,
+def cva_v_forward(tape, feature_map, mask, question, channel_params, spatial_params,
                   tanh_after_sum=False, rescale_channel_gains=True,
-                  gain_strength=DEFAULT_GAIN_STRENGTH, mask=None):
+                  gain_strength=DEFAULT_GAIN_STRENGTH):
     """Reversed stacking: spatial attention first, then channel attention.
 
     The spatial weights rescale rows without summing them (so a K x D map
     survives for channel attention to pool), and the 1/K aggregation happens
     once, after the channel modulation.
     """
-    eta = spatial_attention(tape, feature_map, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum, mask=mask)
+    eta = spatial_attention(tape, feature_map, mask, question, spatial_params,
+                            tanh_after_sum=tanh_after_sum)
     reweighted = T.scale_rows(tape, feature_map, eta)
     beta = channel_attention(tape, channel_mean_pool(tape, reweighted, mask),
                              question, channel_params)
@@ -225,9 +224,8 @@ def cva_v_forward(tape, feature_map, question, channel_params, spatial_params,
     return attended, AttentionReadout(channel_weights=beta, spatial_weights=eta)
 
 
-def ca_only_forward(tape, feature_map, question, channel_params,
-                    rescale_channel_gains=True,
-                    gain_strength=DEFAULT_GAIN_STRENGTH, mask=None):
+def ca_only_forward(tape, feature_map, mask, question, channel_params,
+                    rescale_channel_gains=True, gain_strength=DEFAULT_GAIN_STRENGTH):
     """Channel attention only; regions are aggregated by the plain mean."""
     beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
                              question, channel_params)
@@ -238,10 +236,10 @@ def ca_only_forward(tape, feature_map, question, channel_params,
     return attended, AttentionReadout(channel_weights=beta)
 
 
-def ra_only_forward(tape, feature_map, question, spatial_params,
-                    tanh_after_sum=False, mask=None):
+def ra_only_forward(tape, feature_map, mask, question, spatial_params,
+                    tanh_after_sum=False):
     """Region attention only, computed and applied on the raw map."""
-    eta = spatial_attention(tape, feature_map, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum, mask=mask)
+    eta = spatial_attention(tape, feature_map, mask, question, spatial_params,
+                            tanh_after_sum=tanh_after_sum)
     attended = apply_spatial_weights(tape, eta, feature_map, mask)
     return attended, AttentionReadout(spatial_weights=eta)

@@ -32,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _out_dir(args, command):
     if args.out:
         return args.out
@@ -191,6 +198,13 @@ def cmd_eval(args):
     training.restore_checkpoint(vqa_model.store, args.checkpoint)
     (dataset,) = _load_prepared(args.data, (args.split,),
                                 model_config.max_question_len)
+    found = (len(dataset.question_vocab), len(dataset.answer_vocab))
+    expected = (model_config.vocab_size, model_config.num_answers)
+    if found != expected:
+        raise InvalidArgumentError(
+            f"{args.data}: question and answer vocabularies have {found[0]} and "
+            f"{found[1]} entries; the model was trained with {expected[0]} and "
+            f"{expected[1]}")
     taxonomy = metrics.Taxonomy.load(args.taxonomy) if args.taxonomy else None
     report = metrics.evaluate(vqa_model, dataset, taxonomy=taxonomy)
     sys.stdout.write(report.to_text())
@@ -395,7 +409,7 @@ def build_parser():
     p.add_argument("--data", action="append", required=True,
                    help="dataset directory (repeatable)")
     p.add_argument("--out", default=None)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_positive_int, default=5)
     add_train_flags(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -403,7 +417,7 @@ def build_parser():
     p.add_argument("--variant", default="all",
                    choices=("ca", "ra", "cva", "cva-v", "r-cva", "all"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds to sweep")
+    p.add_argument("--seeds", type=_positive_int, default=1, help="number of seeds to sweep")
     p.add_argument("--literal-spatial", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 

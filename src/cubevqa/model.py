@@ -208,35 +208,25 @@ class VqaModel:
 
     # -- forward passes -----------------------------------------------------
 
-    def _attend(self, tape, features, question, chan, spat, mask):
+    def _attend(self, tape, features, mask, question, chan, spat):
         cfg = self.config
+        gains = dict(rescale_channel_gains=cfg.rescale_channel_gains,
+                     gain_strength=cfg.channel_gain_strength)
         if cfg.variant == "ca":
-            return attention.ca_only_forward(
-                tape, features, question, chan, mask=mask,
-                rescale_channel_gains=cfg.rescale_channel_gains,
-                gain_strength=cfg.channel_gain_strength)
+            return attention.ca_only_forward(tape, features, mask, question, chan, **gains)
         if cfg.variant == "ra":
-            return attention.ra_only_forward(tape, features, question, spat,
-                                             mask=mask,
+            return attention.ra_only_forward(tape, features, mask, question, spat,
                                              tanh_after_sum=cfg.tanh_after_sum)
-        if cfg.variant == "cva":
-            return attention.cva_forward(
-                tape, features, question, chan, spat, mask=mask,
-                tanh_after_sum=cfg.tanh_after_sum,
-                rescale_channel_gains=cfg.rescale_channel_gains,
-                gain_strength=cfg.channel_gain_strength)
-        return attention.cva_v_forward(
-            tape, features, question, chan, spat, mask=mask,
-            tanh_after_sum=cfg.tanh_after_sum,
-            rescale_channel_gains=cfg.rescale_channel_gains,
-            gain_strength=cfg.channel_gain_strength)
+        stacked = attention.cva_forward if cfg.variant == "cva" else attention.cva_v_forward
+        return stacked(tape, features, mask, question, chan, spat,
+                       tanh_after_sum=cfg.tanh_after_sum, **gains)
 
     def _forward_batch(self, tape, batch, leaves, dropout_rate=0.0, dropout_rng=None):
         enc, chan, spat, clf = self._groups(leaves)
         question = encoder.encode_questions_batch(tape, enc, batch.token_ids,
                                                   batch.lengths)
         attended, readout = self._attend(tape, T.constant(batch.features),
-                                         question, chan, spat, batch.region_mask)
+                                         batch.region_mask, question, chan, spat)
         mask = None
         if dropout_rate > 0.0 and dropout_rng is not None:
             mask = T.constant(dropout_mask((batch.labels.size, self.config.fuse_dim),

@@ -9,14 +9,14 @@ sweep can replay them in reverse exactly once. Every primitive ends in
 ``_make``, the one place the tapeless rule lives: with ``tape=None`` a
 primitive evaluates without recording.
 
-Operands are batched. An instance is a vector ``(n,)`` or a row matrix
-``(K, n)``, and a batch puts one leading axis ``B`` in front; a single
-instance is a batch of one (``B = 1``). ``gru_cell`` and ``cross_entropy``
-take only the batched form ``(B, ...)``. The other primitives work on the
-trailing instance axes, so they also accept an instance without the batch
-axis. No other broadcasting exists; the two sanctioned broadcast forms are
-``add_vec``/``mul_vec`` (a vector combined across the rows of a matrix) and
-``add_scalar``.
+Operands are batched: a leading axis ``B`` indexes the instances, and a
+single instance is a batch of one (``B = 1``). ``channel_scores``,
+``gru_cell``, ``mean_over_rows``, ``weighted_row_sum`` and ``cross_entropy``
+take exactly the batched shapes their docstrings name. The elementwise
+primitives, ``affine``, ``matvec_last``, ``scale_rows`` and ``softmax`` act
+on the trailing axes, whatever axes lead. No other broadcasting exists; the
+two sanctioned broadcast forms are ``add_vec``/``mul_vec`` (a vector
+combined across the rows of a matrix) and ``add_scalar``.
 """
 
 import numpy as np
@@ -147,11 +147,9 @@ def add(tape, a, b):
 def add_vec(tape, m, v):
     """Add a vector across the rows of ``m`` (the row-broadcast form).
 
-    ``v`` either matches ``m`` exactly or has shape ``m.shape[:-2] +
-    m.shape[-1:]``, in which case it is added to every row.
+    ``m`` is ``(..., K, n)`` and ``v`` ``m.shape[:-2] + (n,)``; ``v`` is added
+    to every row.
     """
-    if v.value.shape == m.value.shape:
-        return add(tape, m, v)
     if m.value.ndim < 2 or v.value.shape != m.value.shape[:-2] + m.value.shape[-1:]:
         raise ShapeError(
             f"add_vec: cannot broadcast vector {v.value.shape} over rows of {m.value.shape}")
@@ -191,9 +189,7 @@ def mul(tape, a, b):
 
 
 def mul_vec(tape, m, v):
-    """Multiply the rows of ``m`` elementwise by a vector (row-broadcast)."""
-    if v.value.shape == m.value.shape:
-        return mul(tape, m, v)
+    """Multiply the rows of ``m`` elementwise by a vector (``add_vec``'s shapes)."""
     if m.value.ndim < 2 or v.value.shape != m.value.shape[:-2] + m.value.shape[-1:]:
         raise ShapeError(
             f"mul_vec: cannot broadcast vector {v.value.shape} over rows of {m.value.shape}")
@@ -312,57 +308,52 @@ def _score_tiles(batch, channels, width):
 
 
 def channel_scores(tape, vis, query, w):
-    """``out[..., d] = sum_j w[j] * tanh(vis[..., d] * query[..., j])``.
+    """``out[b, d] = sum_j w[j] * tanh(vis[b, d] * query[b, j])``.
 
-    ``vis`` is ``(D,)`` with ``query`` ``(h,)``, or a batch ``(B, D)`` with
-    ``(B, h)``; ``w`` is ``(h,)``. The joint ``(..., D, h)`` tanh map is
-    worked through in tiles of at most ``SCORE_TILE`` entries and never
-    stored: the backward recomputes each tile's tanh in one scratch buffer.
+    ``vis`` is ``(B, D)``, ``query`` ``(B, h)`` and ``w`` ``(h,)``. The joint
+    ``(B, D, h)`` tanh map is worked through in tiles of at most
+    ``SCORE_TILE`` entries and never stored: the backward recomputes each
+    tile's tanh in one scratch buffer.
     """
     vv, qv, wv = vis.value, query.value, w.value
-    if (vv.ndim not in (1, 2) or qv.ndim != vv.ndim or vv.shape[:-1] != qv.shape[:-1]
-            or wv.shape != qv.shape[-1:]):
+    if (vv.ndim != 2 or qv.ndim != 2 or vv.shape[0] != qv.shape[0]
+            or wv.shape != qv.shape[1:]):
         raise ShapeError(
             f"channel_scores: visual {vv.shape}, query {qv.shape} and weights "
             f"{wv.shape} do not fit")
     if vv.size == 0 or qv.size == 0:
         raise InvalidArgumentError("channel_scores: operands must be nonempty")
-    # one code path for both forms: a vector is a batch of one row
     width = wv.shape[0]
-    v2 = vv.reshape(-1, vv.shape[-1])
-    q2 = qv.reshape(-1, width)
-    tiles = _score_tiles(v2.shape[0], v2.shape[1], width)
+    tiles = _score_tiles(vv.shape[0], vv.shape[1], width)
 
     def tanh_tile(scratch, rows, cols):
-        vt, qt = v2[rows, cols], q2[rows]
+        vt, qt = vv[rows, cols], qv[rows]
         buf = scratch[:vt.size * width].reshape(vt.shape + (width,))
         np.multiply(vt[:, :, None], qt[:, None, :], out=buf)
         return np.tanh(buf, out=buf)
 
-    scratch = np.empty(min(SCORE_TILE, v2.size * width))
-    value = np.empty(v2.shape)
+    scratch = np.empty(min(SCORE_TILE, vv.size * width))
+    value = np.empty(vv.shape)
     for rows, cols in tiles:
         t = tanh_tile(scratch, rows, cols)
         value[rows, cols] = np.matmul(t, wv)
-    value = value.reshape(vv.shape)
 
     def backward(g):
-        g2 = g.reshape(v2.shape)
-        wq = q2 * wv   # w[j] q[j], the query side of d vis
-        gv = g2 * v2   # g[d] vis[d], the visual side of d query
-        d_vis = np.empty(v2.shape)
-        d_query = np.zeros(q2.shape)
+        wq = qv * wv   # w[j] q[j], the query side of d vis
+        gv = g * vv    # g[d] vis[d], the visual side of d query
+        d_vis = np.empty(vv.shape)
+        d_query = np.zeros(qv.shape)
         d_w = np.zeros(width)
-        scratch = np.empty(min(SCORE_TILE, v2.size * width))
+        scratch = np.empty(min(SCORE_TILE, vv.size * width))
         for rows, cols in tiles:
             t = tanh_tile(scratch, rows, cols)
-            d_w += g2[rows, cols].reshape(-1) @ t.reshape(-1, width)
+            d_w += g[rows, cols].reshape(-1) @ t.reshape(-1, width)
             np.multiply(t, t, out=t)
             u = np.subtract(1.0, t, out=t)   # tanh' of the tile
-            d_vis[rows, cols] = g2[rows, cols] * np.matmul(u, wq[rows, :, None])[..., 0]
+            d_vis[rows, cols] = g[rows, cols] * np.matmul(u, wq[rows, :, None])[..., 0]
             d_query[rows] += np.matmul(gv[rows, None, cols], u)[:, 0, :]
-        _accum(vis, d_vis.reshape(vv.shape))
-        _accum(query, (d_query * wv).reshape(qv.shape))
+        _accum(vis, d_vis)
+        _accum(query, d_query * wv)
         _accum(w, d_w)
 
     return _make(tape, value, backward)
@@ -452,40 +443,38 @@ def softmax(tape, x, valid=None):
     return _make(tape, value, backward)
 
 
-def mean_over_rows(tape, m, counts=None):
-    """Mean of the rows of ``m``: ``(..., K, n) -> (..., n)``.
+def mean_over_rows(tape, m, counts):
+    """Mean of each instance's real rows: ``(B, K, n) -> (B, n)``.
 
-    ``counts`` gives each instance's own row count as a column, shape
-    ``m.shape[:-2] + (1,)``: only its first ``counts`` rows are real, the rows
-    past them must be zero, and the row sum is divided by ``counts`` instead
-    of K. Omitted, all K rows count.
+    ``counts`` ``(B, 1)`` holds each instance's own row count as a column:
+    only its first ``counts`` rows are real, the rows past them must be zero,
+    and the row sum is divided by the count instead of K.
     """
-    if m.value.ndim < 2:
-        raise ShapeError(f"mean_over_rows: expected a matrix, got shape {m.value.shape}")
-    k = m.value.shape[-2]
-    if k == 0:
+    if m.value.ndim != 3 or counts.shape != (m.value.shape[0], 1):
+        raise ShapeError(f"mean_over_rows: expected a (B, K, n) batch and (B, 1) "
+                         f"counts, got {m.value.shape} and {counts.shape}")
+    if m.value.shape[1] == 0:
         raise InvalidArgumentError("mean_over_rows: matrix has no rows")
-    divisor = k if counts is None else counts
-    value = m.value.sum(axis=-2) / divisor
+    value = m.value.sum(axis=-2) / counts
 
     def backward(g):
-        _accum(m, np.broadcast_to((g / divisor)[..., None, :], m.value.shape))
+        _accum(m, np.broadcast_to((g / counts)[..., None, :], m.value.shape))
 
     return _make(tape, value, backward)
 
 
-def weighted_row_sum(tape, m, w, prefactor=1.0):
-    """``prefactor * sum_k w[k] * m[k, :]`` over the row axis.
+def weighted_row_sum(tape, m, w, prefactor):
+    """``prefactor[b] * sum_k w[b, k] * m[b, k, :]``: ``(B, K, n) -> (B, n)``.
 
-    ``m`` has shape ``(..., K, n)`` and ``w`` shape ``(..., K)``;
-    ``prefactor`` is a constant, or one constant per instance with shape
-    ``m.shape[:-2]``.
+    ``w`` is ``(B, K)`` and ``prefactor`` ``(B,)``, one constant per instance.
     """
-    if m.value.ndim < 2 or w.value.shape != m.value.shape[:-1]:
+    if (m.value.ndim != 3 or w.value.shape != m.value.shape[:-1]
+            or prefactor.shape != m.value.shape[:1]):
         raise ShapeError(
-            f"weighted_row_sum: weights {w.value.shape} do not match rows of {m.value.shape}")
-    factor = np.asarray(prefactor)[..., None]
-    value = factor * np.einsum("...k,...kn->...n", w.value, m.value)
+            f"weighted_row_sum: weights {w.value.shape} and prefactor {prefactor.shape} "
+            f"do not match rows of {m.value.shape}")
+    factor = prefactor[:, None]
+    value = factor * np.einsum("bk,bkn->bn", w.value, m.value)
 
     def backward(g):
         _accum(m, factor[..., None] * w.value[..., None] * g[..., None, :])

@@ -213,6 +213,10 @@ class TrainConfig:
     profile: str = "desk"
 
     def validate(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise InvalidArgumentError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise InvalidArgumentError("Adam betas must lie in (0, 1)")
         if self.learning_rate < 0 or self.eps <= 0:

@@ -65,9 +65,10 @@ def random_attention_setup(rng, k, d, h_a, hidden):
     spat = A.SpatialAttentionParams(w_visual=t((h_a, d)), b_visual=t(h_a),
                                     w_question=t((h_a, hidden)), b_question=t(h_a),
                                     w_score=t(h_a), b_score=t(()))
-    v = Tensor(rng.uniform(-3, 3, (k, d)))
-    q = Tensor(rng.uniform(-3, 3, hidden))
-    return chan, spat, v, q
+    # one map and question as a batch of one, every row a region
+    v = Tensor(rng.uniform(-3, 3, (1, k, d)))
+    q = Tensor(rng.uniform(-3, 3, (1, hidden)))
+    return chan, spat, v, q, A.RegionMask(np.full(1, k), k)
 
 
 def test_criterion_2_attention_invariants(capsys):
@@ -79,22 +80,23 @@ def test_criterion_2_attention_invariants(capsys):
     worst_cva_drift = 0.0
     all_positive = True
     for _ in range(1000):
-        chan, spat, v, q = random_attention_setup(rng, k, d, h_a, hidden)
-        out, ro = A.cva_forward(None, v, q, chan, spat, tanh_after_sum=True)
+        chan, spat, v, q, mask = random_attention_setup(rng, k, d, h_a, hidden)
+        out, ro = A.cva_forward(None, v, mask, q, chan, spat, tanh_after_sum=True)
         beta, eta = ro.channel_weights.value, ro.spatial_weights.value
         worst_sum = max(worst_sum, abs(beta.sum() - 1), abs(eta.sum() - 1))
         all_positive = all_positive and np.all(beta > 0) and np.all(eta > 0)
         perm = rng.permutation(k)
-        v_perm = Tensor(v.value[perm])
-        beta_perm = A.channel_attention(None, A.channel_mean_pool(None, v_perm),
+        v_perm = Tensor(v.value[:, perm])
+        beta_perm = A.channel_attention(None, A.channel_mean_pool(None, v_perm, mask),
                                         q, chan).value
         worst_chan_drift = max(worst_chan_drift, np.max(np.abs(beta_perm - beta)))
-        eta_perm = A.spatial_attention(None, v_perm, q, spat,
+        eta_perm = A.spatial_attention(None, v_perm, mask, q, spat,
                                        tanh_after_sum=True).value
-        raw_eta = A.spatial_attention(None, v, q, spat, tanh_after_sum=True).value
+        raw_eta = A.spatial_attention(None, v, mask, q, spat, tanh_after_sum=True).value
         worst_equivariance = max(worst_equivariance,
-                                 np.max(np.abs(eta_perm - raw_eta[perm])))
-        out_perm, _ = A.cva_forward(None, v_perm, q, chan, spat, tanh_after_sum=True)
+                                 np.max(np.abs(eta_perm - raw_eta[:, perm])))
+        out_perm, _ = A.cva_forward(None, v_perm, mask, q, chan, spat,
+                                    tanh_after_sum=True)
         worst_cva_drift = max(worst_cva_drift,
                               np.max(np.abs(out_perm.value - out.value)))
     with capsys.disabled():
@@ -116,10 +118,11 @@ def test_criterion_3_mean_reduction(capsys):
     for _ in range(100):
         k = int(rng.integers(1, 9))
         d = int(rng.integers(1, 17))
-        v = rng.uniform(-10, 10, (k, d))
-        via_weights = A.apply_spatial_weights(None, Tensor(np.ones(k)),
-                                              Tensor(v)).value
-        via_mean = T.mean_over_rows(None, Tensor(v)).value
+        v = rng.uniform(-10, 10, (1, k, d))
+        mask = A.RegionMask(np.full(1, k), k)
+        via_weights = A.apply_spatial_weights(None, Tensor(np.ones((1, k))),
+                                              Tensor(v), mask).value
+        via_mean = T.mean_over_rows(None, Tensor(v), mask.counts).value
         worst = max(worst, np.max(np.abs(via_weights - via_mean)))
     with capsys.disabled():
         report(3, "all-ones weights equal the mean", worst <= 1e-12,
@@ -137,29 +140,29 @@ def test_criterion_4_forward_oracle_equivalence(capsys):
         k = int(rng.integers(1, 5))
         d = int(rng.integers(2, 9))
         h_a, hidden = 6, 6
-        chan, spat, v, q = random_attention_setup(rng, k, d, h_a, hidden)
-        vl, ql = v.value.tolist(), q.value.tolist()
+        chan, spat, v, q, mask = random_attention_setup(rng, k, d, h_a, hidden)
+        vl, ql = v.value[0].tolist(), q.value[0].tolist()
         cl, sl = channel_params_as_lists(chan), spatial_params_as_lists(spat)
         for tanh_after_sum in (False, True):
             for rescale in (False, True):
-                out, _ = A.cva_forward(None, v, q, chan, spat,
+                out, _ = A.cva_forward(None, v, mask, q, chan, spat,
                                        tanh_after_sum=tanh_after_sum,
                                        rescale_channel_gains=rescale)
                 exp, _, _ = naive_cva(vl, ql, cl, sl, tanh_after_sum, rescale)
-                worst = max(worst, np.max(np.abs(out.value - np.array(exp))))
-                out, _ = A.cva_v_forward(None, v, q, chan, spat,
+                worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
+                out, _ = A.cva_v_forward(None, v, mask, q, chan, spat,
                                          tanh_after_sum=tanh_after_sum,
                                          rescale_channel_gains=rescale)
                 exp, _, _ = naive_cva_v(vl, ql, cl, sl, tanh_after_sum, rescale)
-                worst = max(worst, np.max(np.abs(out.value - np.array(exp))))
-                out, _ = A.ca_only_forward(None, v, q, chan,
+                worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
+                out, _ = A.ca_only_forward(None, v, mask, q, chan,
                                            rescale_channel_gains=rescale)
                 exp, _ = naive_ca_only(vl, ql, cl, rescale)
-                worst = max(worst, np.max(np.abs(out.value - np.array(exp))))
-                out, _ = A.ra_only_forward(None, v, q, spat,
+                worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
+                out, _ = A.ra_only_forward(None, v, mask, q, spat,
                                            tanh_after_sum=tanh_after_sum)
                 exp, _ = naive_ra_only(vl, ql, sl, tanh_after_sum)
-                worst = max(worst, np.max(np.abs(out.value - np.array(exp))))
+                worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
     with capsys.disabled():
         report(4, "forward-pass oracle equivalence", worst <= 1e-10,
                f"max deviation {worst:.1e} across 25 instances x 4 pipelines "

@@ -36,8 +36,15 @@ def spat_params(d, h_a, hidden, seed=0, zero=False):
 
 
 def random_instance(k=4, d=6, hidden=5, seed=0):
+    """One ``(K, D)`` map and question as a batch of one."""
     rng = np.random.default_rng(seed)
-    return Tensor(rng.uniform(-1.5, 1.5, (k, d))), Tensor(rng.uniform(-1, 1, hidden))
+    return (Tensor(rng.uniform(-1.5, 1.5, (1, k, d))),
+            Tensor(rng.uniform(-1, 1, (1, hidden))))
+
+
+def full_mask(batch, k):
+    """The mask of a ``(batch, k, D)`` map whose every row is a region."""
+    return A.RegionMask(np.full(batch, k), k)
 
 
 # ---------------------------------------------------------------------------
@@ -46,19 +53,22 @@ def random_instance(k=4, d=6, hidden=5, seed=0):
 
 def test_channel_mean_pool_cases():
     npt.assert_array_equal(
-        A.channel_mean_pool(None, Tensor(np.array([[1.0, 3.0], [3.0, 5.0]]))).value,
+        A.channel_mean_pool(None, Tensor(np.array([[[1.0, 3.0], [3.0, 5.0]]])),
+                            full_mask(1, 2)).value[0],
         [2.0, 4.0])
-    single = np.array([[0.5, -1.0, 2.0]])
-    npt.assert_array_equal(A.channel_mean_pool(None, Tensor(single)).value, single[0])
+    single = np.array([[[0.5, -1.0, 2.0]]])
+    npt.assert_array_equal(
+        A.channel_mean_pool(None, Tensor(single), full_mask(1, 1)).value[0], single[0, 0])
 
 
 def test_channel_mean_pool_permutation_invariant():
     rng = np.random.default_rng(1)
-    v = rng.standard_normal((5, 7))
-    base = A.channel_mean_pool(None, Tensor(v)).value
+    v = rng.standard_normal((1, 5, 7))
+    mask = full_mask(1, 5)
+    base = A.channel_mean_pool(None, Tensor(v), mask).value
     for _ in range(5):
         perm = rng.permutation(5)
-        out = A.channel_mean_pool(None, Tensor(v[perm])).value
+        out = A.channel_mean_pool(None, Tensor(v[:, perm]), mask).value
         npt.assert_allclose(out, base, atol=1e-12)
 
 
@@ -69,18 +79,18 @@ def test_channel_mean_pool_permutation_invariant():
 def test_channel_attention_zero_params_uniform():
     d = 6
     params = chan_params(d, 4, 5, zero=True)
-    u_bar = Tensor(np.random.default_rng(2).standard_normal(d))
-    q = Tensor(np.random.default_rng(3).standard_normal(5))
+    u_bar = Tensor(np.random.default_rng(2).standard_normal((1, d)))
+    q = Tensor(np.random.default_rng(3).standard_normal((1, 5)))
     beta = A.channel_attention(None, u_bar, q, params).value
-    npt.assert_allclose(beta, np.full(d, 1 / d), atol=1e-15)
+    npt.assert_allclose(beta[0], np.full(d, 1 / d), atol=1e-15)
 
 
 def test_channel_attention_permutes_with_channel_relabeling():
     d, h_a, hidden = 6, 4, 5
     params = chan_params(d, h_a, hidden, seed=4)
     rng = np.random.default_rng(5)
-    u_bar = rng.standard_normal(d)
-    q = Tensor(rng.standard_normal(hidden))
+    u_bar = rng.standard_normal((1, d))
+    q = Tensor(rng.standard_normal((1, hidden)))
     beta = A.channel_attention(None, Tensor(u_bar), q, params).value
     perm = rng.permutation(d)
     permuted = A.ChannelAttentionParams(
@@ -88,16 +98,16 @@ def test_channel_attention_permutes_with_channel_relabeling():
         vis_shift=Tensor(params.vis_shift.value[perm]),
         w_question=params.w_question, b_question=params.b_question,
         w_score=params.w_score, b_score=params.b_score)
-    beta_perm = A.channel_attention(None, Tensor(u_bar[perm]), q, permuted).value
-    npt.assert_allclose(beta_perm, beta[perm], atol=1e-12)
+    beta_perm = A.channel_attention(None, Tensor(u_bar[:, perm]), q, permuted).value
+    npt.assert_allclose(beta_perm, beta[:, perm], atol=1e-12)
 
 
 def test_channel_attention_full_scale_shapes():
     params = chan_params(2048, 8, 5, seed=6)
-    u_bar = Tensor(np.random.default_rng(7).standard_normal(2048))
-    q = Tensor(np.random.default_rng(8).standard_normal(5))
+    u_bar = Tensor(np.random.default_rng(7).standard_normal((1, 2048)))
+    q = Tensor(np.random.default_rng(8).standard_normal((1, 5)))
     beta = A.channel_attention(None, u_bar, q, params).value
-    assert beta.shape == (2048,)
+    assert beta.shape == (1, 2048)
     npt.assert_allclose(beta.sum(), 1.0, atol=1e-9)
 
 
@@ -106,46 +116,47 @@ def test_channel_attention_full_scale_shapes():
 
 
 def test_apply_channel_weights_uniform_and_annihilation():
-    v = Tensor(np.array([[2.0, 4.0]]))
+    v = Tensor(np.array([[[2.0, 4.0]]]))
     npt.assert_array_equal(
-        A.apply_channel_weights(None, Tensor(np.array([0.5, 0.5])), v).value,
+        A.apply_channel_weights(None, Tensor(np.array([[0.5, 0.5]])), v).value[0],
         [[1.0, 2.0]])
     npt.assert_array_equal(
-        A.apply_channel_weights(None, Tensor(np.array([1.0, 0.0])), v).value,
+        A.apply_channel_weights(None, Tensor(np.array([[1.0, 0.0]])), v).value[0],
         [[2.0, 0.0]])
 
 
 def test_apply_channel_weights_matches_double_loop():
     rng = np.random.default_rng(9)
-    v = rng.standard_normal((4, 6))
-    beta = rng.uniform(0, 1, 6)
+    v = rng.standard_normal((1, 4, 6))
+    beta = rng.uniform(0, 1, (1, 6))
     out = A.apply_channel_weights(None, Tensor(beta), Tensor(v)).value
     for i in range(4):
         for j in range(6):
-            assert out[i, j] == pytest.approx(beta[j] * v[i, j], abs=1e-15)
+            assert out[0, i, j] == pytest.approx(beta[0, j] * v[0, i, j], abs=1e-15)
 
 
 def test_apply_spatial_weights_ones_equals_mean():
     rng = np.random.default_rng(10)
     for _ in range(20):
-        v = rng.standard_normal((5, 7))
-        out = A.apply_spatial_weights(None, Tensor(np.ones(5)), Tensor(v)).value
-        npt.assert_allclose(out, v.mean(axis=0), atol=1e-15)
+        v = rng.standard_normal((1, 5, 7))
+        out = A.apply_spatial_weights(None, Tensor(np.ones((1, 5))), Tensor(v),
+                                      full_mask(1, 5)).value
+        npt.assert_allclose(out[0], v[0].mean(axis=0), atol=1e-15)
 
 
 def test_apply_spatial_weights_hand_case():
-    rows = np.array([[2.0, 6.0], [4.0, 8.0]])
-    out = A.apply_spatial_weights(None, Tensor(np.array([1.0, 0.0])),
-                                  Tensor(rows)).value
-    npt.assert_array_equal(out, rows[0] / 2.0)
+    rows = np.array([[[2.0, 6.0], [4.0, 8.0]]])
+    out = A.apply_spatial_weights(None, Tensor(np.array([[1.0, 0.0]])),
+                                  Tensor(rows), full_mask(1, 2)).value
+    npt.assert_array_equal(out[0], rows[0, 0] / 2.0)
 
 
 def test_apply_spatial_weights_uniform_softmax_is_scaled_mean():
     rng = np.random.default_rng(11)
-    v = rng.standard_normal((6, 4))
-    eta = np.full(6, 1 / 6)
-    out = A.apply_spatial_weights(None, Tensor(eta), Tensor(v)).value
-    npt.assert_allclose(out, v.mean(axis=0) / 6.0, atol=1e-15)
+    v = rng.standard_normal((1, 6, 4))
+    eta = np.full((1, 6), 1 / 6)
+    out = A.apply_spatial_weights(None, Tensor(eta), Tensor(v), full_mask(1, 6)).value
+    npt.assert_allclose(out[0], v[0].mean(axis=0) / 6.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +167,23 @@ def test_spatial_attention_zero_params_uniform():
     for k in (2, 5):
         params = spat_params(6, 4, 5, zero=True)
         v, q = random_instance(k=k, d=6, hidden=5, seed=12)
-        eta = A.spatial_attention(None, v, q, params).value
-        npt.assert_allclose(eta, np.full(k, 1 / k), atol=1e-15)
+        eta = A.spatial_attention(None, v, full_mask(1, k), q, params).value
+        npt.assert_allclose(eta[0], np.full(k, 1 / k), atol=1e-15)
 
 
 @pytest.mark.parametrize("tanh_after_sum", [False, True])
 def test_spatial_attention_permutation_equivariant(tanh_after_sum):
     params = spat_params(6, 4, 5, seed=13)
     v, q = random_instance(k=5, d=6, hidden=5, seed=14)
-    eta = A.spatial_attention(None, v, q, params,
+    mask = full_mask(1, 5)
+    eta = A.spatial_attention(None, v, mask, q, params,
                               tanh_after_sum=tanh_after_sum).value
     rng = np.random.default_rng(15)
     for _ in range(5):
         perm = rng.permutation(5)
-        eta_perm = A.spatial_attention(None, Tensor(v.value[perm]), q, params,
+        eta_perm = A.spatial_attention(None, Tensor(v.value[:, perm]), mask, q, params,
                                        tanh_after_sum=tanh_after_sum).value
-        npt.assert_allclose(eta_perm, eta[perm], atol=1e-12)
+        npt.assert_allclose(eta_perm, eta[:, perm], atol=1e-12)
 
 
 def test_spatial_attention_literal_form_ignores_question():
@@ -180,7 +192,8 @@ def test_spatial_attention_literal_form_ignores_question():
     params = spat_params(6, 4, 5, seed=16)
     v, _ = random_instance(k=4, d=6, hidden=5, seed=17)
     rng = np.random.default_rng(18)
-    etas = [A.spatial_attention(None, v, Tensor(rng.standard_normal(5)), params,
+    mask = full_mask(1, 4)
+    etas = [A.spatial_attention(None, v, mask, Tensor(rng.standard_normal((1, 5))), params,
                                 tanh_after_sum=False).value for _ in range(3)]
     npt.assert_allclose(etas[0], etas[1], atol=1e-12)
     npt.assert_allclose(etas[0], etas[2], atol=1e-12)
@@ -189,19 +202,20 @@ def test_spatial_attention_literal_form_ignores_question():
 def test_spatial_attention_question_aware_form_uses_question():
     params = spat_params(6, 4, 5, seed=19)
     v, _ = random_instance(k=4, d=6, hidden=5, seed=20)
+    mask = full_mask(1, 4)
     rng = np.random.default_rng(21)
-    eta_a = A.spatial_attention(None, v, Tensor(rng.standard_normal(5)), params,
-                                tanh_after_sum=True).value
-    eta_b = A.spatial_attention(None, v, Tensor(rng.standard_normal(5)), params,
-                                tanh_after_sum=True).value
+    eta_a = A.spatial_attention(None, v, mask, Tensor(rng.standard_normal((1, 5))),
+                                params, tanh_after_sum=True).value
+    eta_b = A.spatial_attention(None, v, mask, Tensor(rng.standard_normal((1, 5))),
+                                params, tanh_after_sum=True).value
     assert np.max(np.abs(eta_a - eta_b)) > 1e-6
 
 
 def test_spatial_attention_full_scale_region_count():
     params = spat_params(8, 4, 5, seed=22)
     v, q = random_instance(k=36, d=8, hidden=5, seed=23)
-    eta = A.spatial_attention(None, v, q, params).value
-    assert eta.shape == (36,)
+    eta = A.spatial_attention(None, v, full_mask(1, 36), q, params).value
+    assert eta.shape == (1, 36)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +227,15 @@ def test_cva_zero_params_literal_prefactors():
     chan = chan_params(d, 3, 5, zero=True)
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=24)
-    out, readout = A.cva_forward(None, v, q, chan, spat, rescale_channel_gains=False)
-    npt.assert_allclose(out.value, v.value.mean(axis=0) / (k * d), atol=1e-14)
-    npt.assert_allclose(readout.channel_weights.value, np.full(d, 1 / d), atol=1e-15)
-    npt.assert_allclose(readout.spatial_weights.value, np.full(k, 1 / k), atol=1e-15)
+    mask = full_mask(1, k)
+    out, readout = A.cva_forward(None, v, mask, q, chan, spat,
+                                 rescale_channel_gains=False)
+    npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / (k * d), atol=1e-14)
+    npt.assert_allclose(readout.channel_weights.value[0], np.full(d, 1 / d), atol=1e-15)
+    npt.assert_allclose(readout.spatial_weights.value[0], np.full(k, 1 / k), atol=1e-15)
     # mean-one gains: uniform channel attention passes the map through
-    out, _ = A.cva_forward(None, v, q, chan, spat)
-    npt.assert_allclose(out.value, v.value.mean(axis=0) / k, atol=1e-14)
+    out, _ = A.cva_forward(None, v, mask, q, chan, spat)
+    npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
 def test_cva_v_zero_params_literal_prefactors():
@@ -227,28 +243,30 @@ def test_cva_v_zero_params_literal_prefactors():
     chan = chan_params(d, 3, 5, zero=True)
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=25)
-    out, _ = A.cva_v_forward(None, v, q, chan, spat, rescale_channel_gains=False)
-    npt.assert_allclose(out.value, v.value.mean(axis=0) / (k * d), atol=1e-14)
-    out, _ = A.cva_v_forward(None, v, q, chan, spat)
-    npt.assert_allclose(out.value, v.value.mean(axis=0) / k, atol=1e-14)
+    mask = full_mask(1, k)
+    out, _ = A.cva_v_forward(None, v, mask, q, chan, spat, rescale_channel_gains=False)
+    npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / (k * d), atol=1e-14)
+    out, _ = A.cva_v_forward(None, v, mask, q, chan, spat)
+    npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
 def test_ca_only_zero_params_mean_over_d():
     k, d = 5, 8
     chan = chan_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=26)
-    out, _ = A.ca_only_forward(None, v, q, chan, rescale_channel_gains=False)
-    npt.assert_allclose(out.value, v.value.mean(axis=0) / d, atol=1e-14)
-    out, _ = A.ca_only_forward(None, v, q, chan)
-    npt.assert_allclose(out.value, v.value.mean(axis=0), atol=1e-14)
+    mask = full_mask(1, k)
+    out, _ = A.ca_only_forward(None, v, mask, q, chan, rescale_channel_gains=False)
+    npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / d, atol=1e-14)
+    out, _ = A.ca_only_forward(None, v, mask, q, chan)
+    npt.assert_allclose(out.value[0], v.value[0].mean(axis=0), atol=1e-14)
 
 
 def test_ra_only_zero_params_mean_over_k():
     k, d = 5, 8
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=27)
-    out, _ = A.ra_only_forward(None, v, q, spat)
-    npt.assert_allclose(out.value, v.value.mean(axis=0) / k, atol=1e-14)
+    out, _ = A.ra_only_forward(None, v, full_mask(1, k), q, spat)
+    npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
 def test_all_pipelines_output_length_d_for_any_k():
@@ -257,11 +275,12 @@ def test_all_pipelines_output_length_d_for_any_k():
     spat = spat_params(d, 3, hidden, seed=28)
     for k in (1, 4, 36):
         v, q = random_instance(k=k, d=d, hidden=hidden, seed=29)
-        for out, _ in (A.cva_forward(None, v, q, chan, spat),
-                       A.cva_v_forward(None, v, q, chan, spat),
-                       A.ca_only_forward(None, v, q, chan),
-                       A.ra_only_forward(None, v, q, spat)):
-            assert out.value.shape == (d,)
+        mask = full_mask(1, k)
+        for out, _ in (A.cva_forward(None, v, mask, q, chan, spat),
+                       A.cva_v_forward(None, v, mask, q, chan, spat),
+                       A.ca_only_forward(None, v, mask, q, chan),
+                       A.ra_only_forward(None, v, mask, q, spat)):
+            assert out.value.shape == (1, d)
 
 
 def test_cva_v_single_region_trivial_spatial():
@@ -269,8 +288,8 @@ def test_cva_v_single_region_trivial_spatial():
     chan = chan_params(d, 3, 5, seed=30)
     spat = spat_params(d, 3, 5, seed=30)
     v, q = random_instance(k=1, d=d, hidden=5, seed=31)
-    _, readout = A.cva_v_forward(None, v, q, chan, spat)
-    npt.assert_allclose(readout.spatial_weights.value, [1.0], atol=1e-15)
+    _, readout = A.cva_v_forward(None, v, full_mask(1, 1), q, chan, spat)
+    npt.assert_allclose(readout.spatial_weights.value[0], [1.0], atol=1e-15)
 
 
 def test_ca_equals_cva_with_uniform_spatial_stage():
@@ -279,22 +298,24 @@ def test_ca_equals_cva_with_uniform_spatial_stage():
     d = 6
     chan = chan_params(d, 3, 5, seed=32)
     v, q = random_instance(k=4, d=d, hidden=5, seed=33)
-    ca_out, readout = A.ca_only_forward(None, v, q, chan)
+    mask = full_mask(1, 4)
+    ca_out, readout = A.ca_only_forward(None, v, mask, q, chan)
     gains = A._channel_gains(None, readout.channel_weights, rescale=True)
     modulated = A.apply_channel_weights(None, gains, v)
     npt.assert_allclose(ca_out.value,
-                        T.mean_over_rows(None, modulated).value, atol=1e-15)
+                        T.mean_over_rows(None, modulated, mask.counts).value, atol=1e-15)
 
 
 def test_ra_only_region_permutation_invariant_output():
     d = 6
     spat = spat_params(d, 3, 5, seed=34)
     v, q = random_instance(k=5, d=d, hidden=5, seed=35)
-    base, _ = A.ra_only_forward(None, v, q, spat, tanh_after_sum=True)
+    mask = full_mask(1, 5)
+    base, _ = A.ra_only_forward(None, v, mask, q, spat, tanh_after_sum=True)
     rng = np.random.default_rng(36)
     for _ in range(5):
         perm = rng.permutation(5)
-        out, _ = A.ra_only_forward(None, Tensor(v.value[perm]), q, spat,
+        out, _ = A.ra_only_forward(None, Tensor(v.value[:, perm]), mask, q, spat,
                                    tanh_after_sum=True)
         npt.assert_allclose(out.value, base.value, atol=1e-12)
 
@@ -315,28 +336,31 @@ def test_pipelines_match_scalar_loop_oracle(tanh_after_sum, rescale):
         chan = chan_params(d, h_a, hidden, seed=38 + trial)
         spat = spat_params(d, h_a, hidden, seed=38 + trial)
         v, q = random_instance(k=k, d=d, hidden=hidden, seed=39 + trial)
-        vl, ql = v.value.tolist(), q.value.tolist()
+        mask = full_mask(1, k)
+        vl, ql = v.value[0].tolist(), q.value[0].tolist()
         cl, sl = channel_params_as_lists(chan), spatial_params_as_lists(spat)
 
-        out, ro = A.cva_forward(None, v, q, chan, spat, tanh_after_sum=tanh_after_sum,
+        out, ro = A.cva_forward(None, v, mask, q, chan, spat,
+                                tanh_after_sum=tanh_after_sum,
                                 rescale_channel_gains=rescale)
         exp, beta, eta = naive_cva(vl, ql, cl, sl, tanh_after_sum, rescale)
-        npt.assert_allclose(out.value, exp, atol=1e-10)
-        npt.assert_allclose(ro.channel_weights.value, beta, atol=1e-10)
-        npt.assert_allclose(ro.spatial_weights.value, eta, atol=1e-10)
+        npt.assert_allclose(out.value[0], exp, atol=1e-10)
+        npt.assert_allclose(ro.channel_weights.value[0], beta, atol=1e-10)
+        npt.assert_allclose(ro.spatial_weights.value[0], eta, atol=1e-10)
 
-        out, _ = A.cva_v_forward(None, v, q, chan, spat, tanh_after_sum=tanh_after_sum,
+        out, _ = A.cva_v_forward(None, v, mask, q, chan, spat,
+                                 tanh_after_sum=tanh_after_sum,
                                  rescale_channel_gains=rescale)
         exp, _, _ = naive_cva_v(vl, ql, cl, sl, tanh_after_sum, rescale)
-        npt.assert_allclose(out.value, exp, atol=1e-10)
+        npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
-        out, _ = A.ca_only_forward(None, v, q, chan, rescale_channel_gains=rescale)
+        out, _ = A.ca_only_forward(None, v, mask, q, chan, rescale_channel_gains=rescale)
         exp, _ = naive_ca_only(vl, ql, cl, rescale)
-        npt.assert_allclose(out.value, exp, atol=1e-10)
+        npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
-        out, _ = A.ra_only_forward(None, v, q, spat, tanh_after_sum=tanh_after_sum)
+        out, _ = A.ra_only_forward(None, v, mask, q, spat, tanh_after_sum=tanh_after_sum)
         exp, _ = naive_ra_only(vl, ql, sl, tanh_after_sum)
-        npt.assert_allclose(out.value, exp, atol=1e-10)
+        npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +374,20 @@ def test_batched_pipelines_match_per_example():
     spat = spat_params(d, h_a, hidden, seed=41)
     vs = rng.uniform(-1, 1, (batch, k, d))
     qs = rng.uniform(-1, 1, (batch, hidden))
-    for fn in (A.cva_forward, A.cva_v_forward):
-        batched, _ = fn(None, Tensor(vs), Tensor(qs), chan, spat, tanh_after_sum=True)
+    pipelines = {
+        "cva": lambda v, m, q: A.cva_forward(None, v, m, q, chan, spat,
+                                             tanh_after_sum=True),
+        "cva-v": lambda v, m, q: A.cva_v_forward(None, v, m, q, chan, spat,
+                                                 tanh_after_sum=True),
+        "ca": lambda v, m, q: A.ca_only_forward(None, v, m, q, chan),
+        "ra": lambda v, m, q: A.ra_only_forward(None, v, m, q, spat),
+    }
+    for fn in pipelines.values():
+        batched, _ = fn(Tensor(vs), full_mask(batch, k), Tensor(qs))
         for i in range(batch):
-            single, _ = fn(None, Tensor(vs[i]), Tensor(qs[i]), chan, spat,
-                           tanh_after_sum=True)
-            npt.assert_allclose(batched.value[i], single.value, atol=1e-13)
-    batched, _ = A.ca_only_forward(None, Tensor(vs), Tensor(qs), chan)
-    for i in range(batch):
-        single, _ = A.ca_only_forward(None, Tensor(vs[i]), Tensor(qs[i]), chan)
-        npt.assert_allclose(batched.value[i], single.value, atol=1e-13)
-    batched, _ = A.ra_only_forward(None, Tensor(vs), Tensor(qs), spat)
-    for i in range(batch):
-        single, _ = A.ra_only_forward(None, Tensor(vs[i]), Tensor(qs[i]), spat)
-        npt.assert_allclose(batched.value[i], single.value, atol=1e-13)
+            # each example alone is the batch's own slice, a batch of one
+            single, _ = fn(Tensor(vs[i:i + 1]), full_mask(1, k), Tensor(qs[i:i + 1]))
+            npt.assert_allclose(batched.value[i], single.value[0], atol=1e-13)
 
 
 @pytest.mark.parametrize("pipeline", ["cva", "cva-v", "ca", "ra"])
@@ -371,9 +395,10 @@ def test_batched_pipelines_match_per_example():
 def test_pipeline_gradients_match_finite_differences(pipeline, tanh_after_sum):
     rng = np.random.default_rng(42)
     k, d, hidden, h_a = 3, 5, 4, 4
-    target = rng.standard_normal(d)
-    v_val = rng.uniform(-1, 1, (k, d))
-    q_val = rng.uniform(-1, 1, hidden)
+    target = rng.standard_normal((1, d))
+    v_val = rng.uniform(-1, 1, (1, k, d))
+    q_val = rng.uniform(-1, 1, (1, hidden))
+    mask = full_mask(1, k)
 
     arrays = {}
     chan = chan_params(d, h_a, hidden, seed=43)
@@ -391,15 +416,15 @@ def test_pipeline_gradients_match_finite_differences(pipeline, tanh_after_sum):
               ("w_visual", "b_visual", "w_question", "b_question", "w_score", "b_score")])
         v, q = Tensor(v_val), Tensor(q_val)
         if pipeline == "cva":
-            out, _ = A.cva_forward(tape, v, q, fresh_chan, fresh_spat,
+            out, _ = A.cva_forward(tape, v, mask, q, fresh_chan, fresh_spat,
                                    tanh_after_sum=tanh_after_sum)
         elif pipeline == "cva-v":
-            out, _ = A.cva_v_forward(tape, v, q, fresh_chan, fresh_spat,
+            out, _ = A.cva_v_forward(tape, v, mask, q, fresh_chan, fresh_spat,
                                      tanh_after_sum=tanh_after_sum)
         elif pipeline == "ca":
-            out, _ = A.ca_only_forward(tape, v, q, fresh_chan)
+            out, _ = A.ca_only_forward(tape, v, mask, q, fresh_chan)
         else:
-            out, _ = A.ra_only_forward(tape, v, q, fresh_spat,
+            out, _ = A.ra_only_forward(tape, v, mask, q, fresh_spat,
                                        tanh_after_sum=tanh_after_sum)
         err = T.add(tape, out, T.scale(tape, Tensor(target), -1.0))
         loss = T.mean_all(tape, T.mul(tape, err, err))

@@ -66,6 +66,11 @@ def test_usage_errors_exit_one(capsys):
     assert "usage error" in err
     assert run([]) == 1
     assert run(["synth", "--task", "spatial"]) == 1  # no --out, no env root
+    # a sweep over no seeds checks nothing and must not report success
+    assert run(["gradcheck", "--seeds", "0"]) == 1
+    assert run(["gradcheck", "--variant", "ra", "--seeds", "-1"]) == 1
+    assert run(["ablate", "--data", "x", "--out", "y", "--seeds", "0"]) == 1
+    assert "--seeds" in capsys.readouterr().err
 
 
 def test_output_root_env_fallback(tmp_path, monkeypatch):
@@ -245,6 +250,20 @@ def test_eval_architecture_mismatch(trained_run, tmp_path, capsys):
     code = run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
                 "--data", other])
     assert code == 3
+
+
+def test_eval_vocabulary_mismatch(trained_run, tmp_path, capsys):
+    # same K and D as the training data, but smaller vocabularies
+    for task, sizes in (("spatial", "9 and 5"), ("channel", "7 and 8")):
+        other = str(tmp_path / task)
+        assert run(["synth", "--task", task, "--out", other, "--size", "20",
+                    "--k", "4", "--d", "16", "--seed", "0"]) == 0
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
+                    "--data", other, "--csv", str(tmp_path / f"{task}.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert sizes in err and "13 and 13" in err
 
 
 def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_path,

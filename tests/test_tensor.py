@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cubevqa.attention as A
 import cubevqa.tensor as T
 from cubevqa.tensor import (InvalidArgumentError, ShapeError, Tape, Tensor,
                             VocabularyError, constant)
@@ -85,8 +86,8 @@ def _channel_scores_oracle(vis, query, w, g):
 @pytest.mark.parametrize("vis_shape,query_shape", [
     ((130, 32), (130, 64)),   # 128 examples fill a tile, then a short tile of 2
     ((2, 300), (2, 1024)),    # each example splits into 256 channels and a short 44
-    ((6,), (4,)),             # vector form
-], ids=["examples-per-tile", "channels-per-tile", "vector"])
+    ((1, 6), (1, 4)),         # a single example, a batch of one
+], ids=["examples-per-tile", "channels-per-tile", "single-example"])
 def test_channel_scores_match_numpy_composition(vis_shape, query_shape):
     rng = np.random.default_rng(vis_shape[0])
     vis, query = rng.standard_normal(vis_shape), rng.standard_normal(query_shape)
@@ -109,8 +110,10 @@ def test_channel_scores_rejects_bad_shapes():
         T.channel_scores(None, leaf(np.ones((2, 3))), leaf(np.ones((2, 4))), leaf(np.ones(5)))
     with pytest.raises(ShapeError):  # more than two dimensions
         T.channel_scores(None, leaf(np.ones((2, 2, 3))), leaf(np.ones((2, 2, 4))), w)
+    with pytest.raises(ShapeError):  # one example without the batch axis
+        T.channel_scores(None, leaf(np.ones(3)), leaf(np.ones(4)), w)
     with pytest.raises(InvalidArgumentError):
-        T.channel_scores(None, leaf([]), leaf(np.ones(4)), w)
+        T.channel_scores(None, leaf(np.ones((1, 0))), leaf(np.ones((1, 4))), w)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +153,17 @@ def test_affine_batched_matches_per_row():
 # mean over rows
 
 
+def row_mean(rows):
+    """``mean_over_rows`` of one ``(K, n)`` matrix as a batch of one."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return T.mean_over_rows(None, leaf(rows[None]), np.full((1, 1), len(rows))).value[0]
+
+
 def test_mean_over_rows_cases():
-    npt.assert_array_equal(T.mean_over_rows(None, leaf([[1.0, 2.0], [3.0, 4.0]])).value,
-                           [2.0, 3.0])
-    npt.assert_array_equal(T.mean_over_rows(None, leaf([[7.0, -1.0]])).value, [7.0, -1.0])
+    npt.assert_array_equal(row_mean([[1.0, 2.0], [3.0, 4.0]]), [2.0, 3.0])
+    npt.assert_array_equal(row_mean([[7.0, -1.0]]), [7.0, -1.0])
     same = np.tile([2.5, 0.5, 1.5], (4, 1))
-    npt.assert_array_equal(T.mean_over_rows(None, leaf(same)).value, [2.5, 0.5, 1.5])
+    npt.assert_array_equal(row_mean(same), [2.5, 0.5, 1.5])
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +184,16 @@ def test_no_silent_broadcast_elsewhere():
         T.mul(None, leaf([1.0, 2.0, 3.0]), leaf([1.0, 2.0]))
     with pytest.raises(ShapeError):
         T.add_vec(None, leaf([[1.0, 2.0]]), leaf([1.0, 2.0, 3.0]))
+    with pytest.raises(ShapeError):  # a same-shape operand is not a row vector
+        T.add_vec(None, leaf([1.0, 2.0]), leaf([1.0, 2.0]))
+    with pytest.raises(ShapeError):
+        T.mul_vec(None, leaf([1.0, 2.0]), leaf([1.0, 2.0]))
+    with pytest.raises(ShapeError):
+        T.mul_vec(None, leaf([[1.0, 2.0]]), leaf([[1.0, 2.0]]))
     with pytest.raises(ShapeError):
         T.scale_rows(None, leaf([[1.0, 2.0]]), leaf([1.0, 2.0]))
     with pytest.raises(ShapeError):
-        T.weighted_row_sum(None, leaf([[1.0, 2.0]]), leaf([1.0, 2.0]))
+        T.weighted_row_sum(None, leaf([[[1.0, 2.0]]]), leaf([[1.0, 2.0]]), np.ones(1))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +326,14 @@ def _builders(rng):
         "matvec_last": (lambda t, l: T.matvec_last(t, l[0], l[1]),
                         [v((5, 3)), v(3)]),
         "channel_scores": (lambda t, l: T.channel_scores(t, l[0], l[1], l[2]),
-                           [v(4), v(3), v(3)]),
+                           [v((1, 4)), v((1, 3)), v(3)]),
         "channel_scores_batch": (lambda t, l: T.channel_scores(t, l[0], l[1], l[2]),
                                  [v((2, 4)), v((2, 3)), v(3)]),
         "softmax": (lambda t, l: T.mul(t, T.softmax(t, l[0]), l[1]), [v(6), v(6)]),
-        "mean_over_rows": (lambda t, l: T.mean_over_rows(t, l[0]), [v((4, 3))]),
-        "weighted_row_sum": (lambda t, l: T.weighted_row_sum(t, l[0], l[1], 0.25),
-                             [v((4, 3)), v(4)]),
+        "mean_over_rows": (lambda t, l: T.mean_over_rows(t, l[0], np.full((1, 1), 4.0)),
+                           [v((1, 4, 3))]),
+        "weighted_row_sum": (lambda t, l: T.weighted_row_sum(t, l[0], l[1], np.full(1, 0.25)),
+                             [v((1, 4, 3)), v((1, 4))]),
         "scale_rows": (lambda t, l: T.scale_rows(t, l[0], l[1]), [v((4, 3)), v(4)]),
         "add_vec": (lambda t, l: T.add_vec(t, l[0], l[1]), [v((4, 3)), v(3)]),
         "mul_vec": (lambda t, l: T.mul_vec(t, l[0], l[1]), [v((4, 3)), v(3)]),
@@ -371,6 +386,23 @@ def test_every_primitive_is_used_by_the_package():
     unused = [name for name in primitives
               if not re.search(rf"\bT\.{name}\(", callers)]
     assert unused == []
+
+
+def test_region_mask_and_row_counts_have_no_default():
+    # a default would let the unmasked, unbatched map back into attention
+    takes_mask = {name: inspect.signature(fn).parameters["mask"]
+                  for name, fn in inspect.getmembers(A, inspect.isfunction)
+                  if fn.__module__ == A.__name__
+                  and "mask" in inspect.signature(fn).parameters}
+    assert {"channel_mean_pool", "spatial_attention", "apply_spatial_weights",
+            "cva_forward", "cva_v_forward", "ca_only_forward",
+            "ra_only_forward"} <= set(takes_mask)
+    with_default = [name for name, param in takes_mask.items()
+                    if param.default is not inspect.Parameter.empty]
+    for fn, name in ((T.mean_over_rows, "counts"), (T.weighted_row_sum, "prefactor")):
+        if inspect.signature(fn).parameters[name].default is not inspect.Parameter.empty:
+            with_default.append(f"{fn.__name__}.{name}")
+    assert with_default == []
 
 
 # every gradient-check case ends in mean_all and the softmax case composes

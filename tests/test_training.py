@@ -199,6 +199,13 @@ def test_config_validation():
         TrainConfig(dropout=1.0).validate()
     with pytest.raises(InvalidArgumentError):
         TrainConfig(profile="gpu").validate()
+    # NaN fails every comparison, so it would slip past the range checks
+    for field, value in (("learning_rate", float("nan")), ("learning_rate", float("inf")),
+                         ("eps", float("nan")), ("eps", float("inf")),
+                         ("clip_norm", float("nan")), ("clip_norm", float("inf"))):
+        with pytest.raises(InvalidArgumentError) as err:
+            TrainConfig(**{field: value}).validate()
+        assert field in str(err.value)
 
 
 def test_substream_independence_and_determinism():
