@@ -129,6 +129,11 @@ def _fit(vqa_model, train_set, config, log=None, start_epoch=0):
 # train
 
 
+def _vocab_digests(dataset):
+    return {"question": data.vocab_digest(dataset.question_vocab),
+            "answer": data.vocab_digest(dataset.answer_vocab)}
+
+
 def cmd_train(args):
     out = _out_dir(args, "train")
     os.makedirs(out, exist_ok=True)
@@ -165,6 +170,7 @@ def cmd_train(args):
         "seed": config.seed,
         "train_config": asdict(config),
         "model": model_config.to_dict(),
+        "vocab_sha256": _vocab_digests(train_set),
         "data_dir": os.path.abspath(args.data),
         "checkpoint": os.path.abspath(checkpoint_path),
         "started_at": started,
@@ -193,6 +199,12 @@ def cmd_eval(args):
         model_config = ModelConfig(**manifest["model"])
     except (KeyError, TypeError, InvalidArgumentError) as err:
         raise data.FormatError(f"{manifest_path}: bad \"model\" entry: {err!r}") from None
+    trained_digests = manifest.get("vocab_sha256")
+    if (not isinstance(trained_digests, dict)
+            or sorted(trained_digests) != ["answer", "question"]
+            or not all(isinstance(d, str) for d in trained_digests.values())):
+        raise data.FormatError(f"{manifest_path}: no \"vocab_sha256\" entry with the "
+                               f"question and answer vocabulary digests")
     # every value is restored from the checkpoint, so the seed is irrelevant
     vqa_model = VqaModel(model_config)
     training.restore_checkpoint(vqa_model.store, args.checkpoint)
@@ -205,6 +217,11 @@ def cmd_eval(args):
             f"{args.data}: question and answer vocabularies have {found[0]} and "
             f"{found[1]} entries; the model was trained with {expected[0]} and "
             f"{expected[1]}")
+    for kind, digest in _vocab_digests(dataset).items():
+        if digest != trained_digests[kind]:
+            raise InvalidArgumentError(
+                f"{args.data}: the {kind} vocabulary ({kind}_vocab.txt) holds other "
+                f"entries or another order than the model was trained with")
     taxonomy = metrics.Taxonomy.load(args.taxonomy) if args.taxonomy else None
     report = metrics.evaluate(vqa_model, dataset, taxonomy=taxonomy)
     sys.stdout.write(report.to_text())
@@ -280,12 +297,9 @@ def cmd_ablate(args):
 # gradcheck
 
 
-def gradcheck_model(variant, seed, literal_spatial=False):
-    """Finite-difference check of one tiny random instance.
-
-    Returns ``(max_relative_error, per_parameter)`` over every parameter of
-    the variant at K=4, D=8, H=8, h_a=8, E=8, T=3, A=5.
-    """
+def gradcheck_instance(variant, seed, literal_spatial=False):
+    """The model and the one-example batch of a gradcheck cell: a tiny random
+    instance at K=4, D=8, H=8, h_a=8, E=8, T=3, A=5."""
     config = ModelConfig(variant=variant, vocab_size=9, num_answers=5, feat_dim=8,
                          embed_dim=8, hidden_dim=8, attn_dim=8, fuse_dim=8,
                          tanh_after_sum=not literal_spatial)
@@ -294,24 +308,35 @@ def gradcheck_model(variant, seed, literal_spatial=False):
     features = rng.uniform(-1.0, 1.0, size=(4, 8))
     token_ids = rng.integers(0, config.vocab_size, size=3)
     label = int(rng.integers(0, config.num_answers))
-
     batch = Batch(features=features[None], token_ids=token_ids[None],
                   lengths=np.array([token_ids.size]), labels=np.array([label]))
+    return vqa_model, batch
 
+
+def gradcheck_model(variant, seed, literal_spatial=False):
+    """Finite-difference check of one tiny random instance.
+
+    Returns ``(max_relative_error, per_parameter)`` over every parameter of
+    the variant. Each parameter is probed from the first forward stage it
+    feeds (``VqaModel.stage_probes``), which gives the same bits as probing
+    with the whole forward.
+    """
+    vqa_model, batch = gradcheck_instance(variant, seed, literal_spatial)
     tape = T.Tape()
     loss, _ = vqa_model.batch_loss(tape, batch, vqa_model.leaves())
     tape.backward(loss)
     grads = {name: vqa_model.store[name].grad for name in vqa_model.store.names()}
 
-    # the probe evaluations share one batch and one set of leaf tensors: the
-    # leaves alias the store arrays, so in-place perturbations are visible
-    # without rebuilding
-    eval_leaves = vqa_model.leaves()
-
-    def f():
-        return float(vqa_model.batch_loss(None, batch, eval_leaves)[0].value)
-
-    return T.finite_difference_check(f, vqa_model.store.values(), grads)
+    # the probes perturb the store arrays in place; the leaves alias them, so
+    # one set of leaves serves every evaluation
+    values = vqa_model.store.values()
+    worst, per_name = 0.0, {}
+    for names, f in vqa_model.stage_probes(batch, vqa_model.leaves()):
+        stage_worst, stage_errors = T.finite_difference_check(
+            f, {name: values[name] for name in names}, grads)
+        worst = max(worst, stage_worst)
+        per_name.update(stage_errors)
+    return worst, per_name
 
 
 def _gradcheck_cell(cell):

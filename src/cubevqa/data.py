@@ -23,6 +23,7 @@ answers), vocabularies are one token per line with the unknown token at
 id 0, and the container layout is documented at ``write_features``.
 """
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -198,6 +199,13 @@ def load_vocab(path):
     if not vocab or vocab[0] != UNKNOWN_TOKEN:
         raise FormatError(f"{path}: vocabulary must start with {UNKNOWN_TOKEN!r}")
     return vocab
+
+
+def vocab_digest(vocab):
+    """SHA-256 hex digest of a vocabulary's entries in order, as
+    ``write_vocab`` writes them: it changes if an entry, and so an id, moves."""
+    return hashlib.sha256("".join(token + "\n" for token in vocab)
+                          .encode("utf-8")).hexdigest()
 
 
 def build_vocab(examples, answer_cap=2000):

@@ -12,6 +12,12 @@ final hidden state is the question encoding. The gating convention is
 i.e. the update gate ``z`` keeps the previous state. Many GRU writeups swap
 the roles of ``z`` and ``1 - z``; the two are equivalent up to relabeling,
 but this module commits to the form above and the tests pin it.
+
+The input terms ``W x + b`` of all three gates do not depend on the state, so
+they are computed for every step at once, before the recurrence (Appleyard
+et al. 2016): one embedding lookup over the ``(B, T)`` ids and one matmul
+with the stacked ``(3H, E)`` input weight. Each step then adds the three
+per-gate recurrent products ``U h``.
 """
 
 from dataclasses import dataclass
@@ -24,22 +30,20 @@ from .tensor import InvalidArgumentError, Tensor, VocabularyError
 
 @dataclass
 class EncoderParams:
-    """Embedding table plus the three GRU gate parameter triples.
+    """Embedding table, stacked input projection and per-gate recurrent weights.
 
-    ``embed`` is (vocab, E); the ``w_*`` matrices are (H, E), the ``u_*``
-    matrices (H, H), and the biases (H,).
+    ``embed`` is (vocab, E). ``w_input`` (3H, E) and ``b_input`` (3H,) hold
+    the input weights ``W_z, W_r, W_h`` and biases ``b_z, b_r, b_h`` of the
+    update, reset and candidate gates as consecutive row blocks; ``u_update``,
+    ``u_reset`` and ``u_cand`` are the (H, H) recurrent weights.
     """
 
     embed: Tensor
-    w_update: Tensor
+    w_input: Tensor
+    b_input: Tensor
     u_update: Tensor
-    b_update: Tensor
-    w_reset: Tensor
     u_reset: Tensor
-    b_reset: Tensor
-    w_cand: Tensor
     u_cand: Tensor
-    b_cand: Tensor
 
 
 def validate_tokens(token_ids, vocab_size, max_len):
@@ -58,16 +62,23 @@ def validate_tokens(token_ids, vocab_size, max_len):
     return ids
 
 
-def gru_step(tape, params, x_t, h_prev, active):
-    """One GRU update of a batch ``(B, E)/(B, H)``; rows outside the ``(B,)``
-    mask ``active`` keep their state.
+def project_inputs(tape, params, token_ids):
+    """Every step's input projection ``W x_t + b`` of a ``(B, T)`` id batch.
 
-    Records a single tape node (``tensor.gru_cell``) per time step.
+    Returns the ``(B, T, 3H)`` node ``gru_cell`` reads its steps from. It
+    depends on the tokens alone, not on the state, so one embedding lookup and
+    one matmul over all ``B * T`` tokens compute it ahead of the recurrence.
     """
-    return T.gru_cell(tape, x_t, h_prev, active,
-                      params.w_update, params.u_update, params.b_update,
-                      params.w_reset, params.u_reset, params.b_reset,
-                      params.w_cand, params.u_cand, params.b_cand)
+    return T.affine(tape, T.embedding_lookup(tape, params.embed, token_ids),
+                    params.w_input, params.b_input)
+
+
+def gru_step(tape, params, x_proj, t, h_prev, active):
+    """Step ``t`` of the GRU over a batch: ``x_proj`` is the ``(B, T, 3H)``
+    input projection and ``h_prev`` the ``(B, H)`` state; rows outside the
+    ``(B,)`` mask ``active`` keep their state. Records one tape node."""
+    return T.gru_cell(tape, x_proj, t, h_prev, active,
+                      params.u_update, params.u_reset, params.u_cand)
 
 
 def encode_questions_batch(tape, params, token_ids, lengths):
@@ -78,7 +89,8 @@ def encode_questions_batch(tape, params, token_ids, lengths):
     ``T_max`` steps, and a row whose question has ended carries its state
     forward unchanged, so the returned ``(B, H)`` state is each question's
     final state and padding never influences it. One question is a batch of
-    one. Records two tape nodes per step: the embedding lookup and the cell.
+    one. Records ``T_max + 2`` tape nodes: the embedding lookup and the input
+    projection of every step, then one cell per step.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -87,9 +99,8 @@ def encode_questions_batch(tape, params, token_ids, lengths):
     batch, t_max = ids.shape
     if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > t_max).any():
         raise InvalidArgumentError("lengths must be in [1, T_max] for every example")
-    hidden = params.b_update.value.shape[0]
-    h = T.constant(np.zeros((batch, hidden)))
+    x_proj = project_inputs(tape, params, ids)
+    h = T.constant(np.zeros((batch, params.u_update.value.shape[0])))
     for t in range(t_max):
-        x_t = T.embedding_lookup(tape, params.embed, ids[:, t])
-        h = gru_step(tape, params, x_t, h, lengths > t)
+        h = gru_step(tape, params, x_proj, t, h, lengths > t)
     return h

@@ -10,6 +10,12 @@ A model owns a parameter store and knows which attention pipeline it runs:
 Every parameter initializes from a sub-stream named after the parameter, so
 two variants built from the same seed share initial values for the parts
 they have in common.
+
+A forward pass runs three stages: encode the question, attend over the
+regions, then score the answers and take the loss. Each parameter group (the
+prefix of its name) is read first by one stage, ``STAGE_OF_GROUP``, which
+lets a gradient check that perturbs one group rerun only the stages from
+there on.
 """
 
 import math
@@ -25,6 +31,17 @@ from .training import ParameterStore, dropout_mask, glorot_uniform, substream
 
 VARIANTS = ("ca", "ra", "cva", "cva-v")
 VARIANT_LABELS = {"ca": "CA", "ra": "RA", "cva": "CVA", "cva-v": "R-CVA"}
+GRU_GATES = ("update", "reset", "cand")
+
+# the encoder reads each gate triple of input weights and of biases as one
+# stacked leaf; the store registers the encoder kind-major (all w_*, then
+# u_*, then b_*), so each triple is one span of the arena
+STACKED_LEAVES = {"enc.w_input": tuple(f"enc.w_{gate}" for gate in GRU_GATES),
+                  "enc.b_input": tuple(f"enc.b_{gate}" for gate in GRU_GATES)}
+
+# the forward stage that first reads each parameter group: 0 encodes the
+# question, 1 attends, 2 scores the answers and takes the loss
+STAGE_OF_GROUP = {"enc": 0, "chan": 1, "spat": 1, "clf": 2}
 
 DIMENSION_PROFILES = {
     # desk attn_dim 64: at 32 the region scorer reliably stalls short of the
@@ -142,9 +159,11 @@ class VqaModel:
                             glorot_uniform(shape, substream(seed, "init", name)))
 
         init("enc.embed", (cfg.vocab_size, cfg.embed_dim))
-        for gate in ("update", "reset", "cand"):
+        for gate in GRU_GATES:
             init(f"enc.w_{gate}", (cfg.hidden_dim, cfg.embed_dim))
+        for gate in GRU_GATES:
             init(f"enc.u_{gate}", (cfg.hidden_dim, cfg.hidden_dim))
+        for gate in GRU_GATES:
             init(f"enc.b_{gate}", (cfg.hidden_dim,), zero=True)
         if cfg.variant in ("ca", "cva", "cva-v"):
             init("chan.vis_scale", (cfg.feat_dim,))
@@ -170,25 +189,27 @@ class VqaModel:
     # -- parameter views ----------------------------------------------------
 
     def leaves(self):
-        """Fresh leaf tensors over the store's arena: each leaf's ``grad`` is
-        its parameter's gradient view, so a backward pass accumulates straight
-        into the store."""
+        """Fresh leaf tensors over the store's arena, one per tensor the
+        forward reads: every parameter, except that the encoder's input
+        weights and biases are read as the stacked leaves of
+        ``STACKED_LEAVES``. Each leaf's ``grad`` is its gradient view in the
+        arena, so a backward pass accumulates straight into the store."""
+        stacked = {name for parts in STACKED_LEAVES.values() for name in parts}
+        views = {name: (self.store[name].value, self.store[name].grad)
+                 for name in self.store.names() if name not in stacked}
+        views.update((name, self.store.stacked(parts))
+                     for name, parts in STACKED_LEAVES.items())
         leaves = {}
-        for name in self.store.names():
-            p = self.store[name]
-            leaves[name] = leaf = Tensor(p.value)
-            leaf.grad = p.grad
+        for name, (value, grad) in views.items():
+            leaves[name] = leaf = Tensor(value)
+            leaf.grad = grad
         return leaves
 
     def _groups(self, leaves):
         enc = encoder.EncoderParams(
-            embed=leaves["enc.embed"],
-            w_update=leaves["enc.w_update"], u_update=leaves["enc.u_update"],
-            b_update=leaves["enc.b_update"],
-            w_reset=leaves["enc.w_reset"], u_reset=leaves["enc.u_reset"],
-            b_reset=leaves["enc.b_reset"],
-            w_cand=leaves["enc.w_cand"], u_cand=leaves["enc.u_cand"],
-            b_cand=leaves["enc.b_cand"])
+            embed=leaves["enc.embed"], w_input=leaves["enc.w_input"],
+            b_input=leaves["enc.b_input"], u_update=leaves["enc.u_update"],
+            u_reset=leaves["enc.u_reset"], u_cand=leaves["enc.u_cand"])
         chan = spat = None
         if "chan.vis_scale" in self.store:
             chan = attention.ChannelAttentionParams(
@@ -208,8 +229,9 @@ class VqaModel:
 
     # -- forward passes -----------------------------------------------------
 
-    def _attend(self, tape, features, mask, question, chan, spat):
+    def _attend(self, tape, batch, question, chan, spat):
         cfg = self.config
+        features, mask = T.constant(batch.features), batch.region_mask
         gains = dict(rescale_channel_gains=cfg.rescale_channel_gains,
                      gain_strength=cfg.channel_gain_strength)
         if cfg.variant == "ca":
@@ -221,12 +243,15 @@ class VqaModel:
         return stacked(tape, features, mask, question, chan, spat,
                        tanh_after_sum=cfg.tanh_after_sum, **gains)
 
+    @staticmethod
+    def _loss(tape, batch, scores):
+        return T.mean_all(tape, classifier.answer_loss(tape, scores, batch.labels))
+
     def _forward_batch(self, tape, batch, leaves, dropout_rate=0.0, dropout_rng=None):
         enc, chan, spat, clf = self._groups(leaves)
         question = encoder.encode_questions_batch(tape, enc, batch.token_ids,
                                                   batch.lengths)
-        attended, readout = self._attend(tape, T.constant(batch.features),
-                                         batch.region_mask, question, chan, spat)
+        attended, readout = self._attend(tape, batch, question, chan, spat)
         mask = None
         if dropout_rate > 0.0 and dropout_rng is not None:
             mask = T.constant(dropout_mask((batch.labels.size, self.config.fuse_dim),
@@ -240,8 +265,37 @@ class VqaModel:
         with a scalar loss node and the ``(B, A)`` scores. Each example
         attends over its own ``region_counts`` rows only."""
         scores, _ = self._forward_batch(tape, batch, leaves, dropout_rate, dropout_rng)
-        loss = T.mean_all(tape, classifier.answer_loss(tape, scores, batch.labels))
-        return loss, scores
+        return self._loss(tape, batch, scores), scores
+
+    def stage_probes(self, batch, leaves):
+        """Tapeless losses for probing the parameters in place, one per stage.
+
+        Returns ``[(names, f)]`` in stage order, where ``names`` are the store
+        parameters that stage reads first (``STAGE_OF_GROUP``), in store
+        order, and ``f()`` is the batch loss recomputed from that stage on.
+        The earlier stages' outputs are computed once, here, from the
+        unperturbed parameters: while only ``names`` are perturbed they do not
+        change, so ``f()`` returns the bits of a full re-evaluation.
+        """
+        stages = [[] for _ in range(3)]
+        for name in self.store.names():
+            stage = STAGE_OF_GROUP.get(name.split(".")[0])
+            if stage is None:
+                raise InvalidArgumentError(f"parameter {name!r} belongs to no forward stage")
+            stages[stage].append(name)
+        enc, chan, spat, clf = self._groups(leaves)
+        question = encoder.encode_questions_batch(None, enc, batch.token_ids,
+                                                  batch.lengths)
+        attended, _ = self._attend(None, batch, question, chan, spat)
+
+        def score(attended_now):
+            scores = classifier.answer_scores(None, attended_now, question, clf)
+            return self._loss(None, batch, scores).value
+
+        return list(zip(stages, (
+            lambda: self.batch_loss(None, batch, leaves)[0].value,
+            lambda: score(self._attend(None, batch, question, chan, spat)[0]),
+            lambda: score(attended))))
 
     def train_step_forward_backward(self, batches, dropout_rate=0.0, dropout_rng=None):
         """One recorded forward/backward over a batch; fills store gradients.

@@ -248,7 +248,8 @@ def affine(tape, x, w, b=None):
     """``W @ x + b`` over the last axis of ``x``.
 
     ``x`` has shape ``(..., n)`` with rank >= 1, ``w`` shape ``(m, n)`` and
-    optional ``b`` shape ``(m,)``; the output is ``(..., m)``.
+    optional ``b`` shape ``(m,)``; the output is ``(..., m)``. The leading
+    axes run as the rows of one GEMM.
     """
     if w.value.ndim != 2:
         raise ShapeError(f"affine: weight must be a matrix, got shape {w.value.shape}")
@@ -259,15 +260,19 @@ def affine(tape, x, w, b=None):
     if b is not None and b.value.shape != (m_dim,):
         raise ShapeError(
             f"affine: weight {w.value.shape} expects bias of length {m_dim}, got {b.value.shape}")
-    value = x.value @ w.value.T
+    # numpy's stacked matmul runs one small product per leading index, ~3x
+    # slower than one GEMM at desk-scale shapes
+    rows = x.value.reshape(-1, n_dim)
+    value = (rows @ w.value.T).reshape(x.value.shape[:-1] + (m_dim,))
     if b is not None:
-        value = value + b.value
+        value += b.value
 
     def backward(g):
-        _accum(x, g @ w.value)
-        _accum(w, g.reshape(-1, m_dim).T @ x.value.reshape(-1, n_dim))
+        g_rows = g.reshape(-1, m_dim)
+        _accum(x, (g_rows @ w.value).reshape(x.value.shape))
+        _accum(w, g_rows.T @ rows)
         if b is not None:
-            _accum(b, g.reshape(-1, m_dim).sum(axis=0))
+            _accum(b, g_rows.sum(axis=0))
 
     return _make(tape, value, backward)
 
@@ -368,31 +373,35 @@ def _sigmoid(a):
     return 0.5 * (np.tanh(0.5 * a) + 1.0)
 
 
-def gru_cell(tape, x, h, active, w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c):
+def gru_cell(tape, x_proj, t, h, active, u_z, u_r, u_c):
     """One GRU update of a batch of rows, recorded as a single node.
 
-    ``z = sigmoid(W_z x + U_z h + b_z)``, ``r = sigmoid(W_r x + U_r h + b_r)``,
-    ``c = tanh(W_c x + U_c (r * h) + b_c)`` and ``h' = z * h + (1 - z) * c``.
-    ``x`` is ``(B, E)`` and ``h`` ``(B, H)``; the ``w_*`` weights are
-    ``(H, E)``, the ``u_*`` ``(H, H)`` and the biases ``(H,)``. ``active`` is
-    a ``(B,)`` boolean mask: a row outside it carries its state forward
-    unchanged, ``h' = h``, and its gradient passes straight through to ``h``.
-    The backward writes all nine weight gradients and those of ``x`` and
-    ``h`` in one place.
+    ``x_proj`` ``(B, T, 3H)`` holds every step's input projection
+    ``W x + b`` of the update, reset and candidate gates, in that order along
+    its last axis; the cell reads step ``t``. With ``p_z``, ``p_r`` and
+    ``p_c`` the three blocks of ``x_proj[:, t]``: ``z = sigmoid(p_z + U_z h)``,
+    ``r = sigmoid(p_r + U_r h)``, ``c = tanh(p_c + U_c (r * h))`` and
+    ``h' = z * h + (1 - z) * c``. ``h`` is ``(B, H)`` and each ``u_*`` is
+    ``(H, H)``: the recurrence keeps one matmul per gate. ``active`` is a
+    ``(B,)`` boolean mask: a row outside it carries its state forward
+    unchanged, ``h' = h``, and its gradient passes straight through to
+    ``h``. The backward writes the three ``U`` gradients, that of ``h`` and
+    step ``t`` of that of ``x_proj`` in one place.
     """
-    hidden, embed = w_z.value.shape
-    xv, hv = x.value, h.value
+    hidden = u_z.value.shape[0]
+    pv, hv = x_proj.value, h.value
     active = np.asarray(active, dtype=bool)
-    if (xv.ndim != 2 or xv.shape[1] != embed or hv.shape != (xv.shape[0], hidden)
-            or active.shape != (xv.shape[0],)):
+    if (pv.ndim != 3 or pv.shape[2] != 3 * hidden or not 0 <= t < pv.shape[1]
+            or hv.shape != (pv.shape[0], hidden) or active.shape != (pv.shape[0],)):
         raise ShapeError(
-            f"gru_cell: input {xv.shape}, state {hv.shape} and mask {active.shape} "
-            f"do not fit weights {w_z.value.shape}")
+            f"gru_cell: projection {pv.shape} at step {t}, state {hv.shape} and mask "
+            f"{active.shape} do not fit recurrent weights {u_z.value.shape}")
+    p_t = pv[:, t]
     keep = active[:, None]
-    z = _sigmoid(xv @ w_z.value.T + b_z.value + hv @ u_z.value.T)
-    r = _sigmoid(xv @ w_r.value.T + b_r.value + hv @ u_r.value.T)
+    z = _sigmoid(p_t[:, :hidden] + hv @ u_z.value.T)
+    r = _sigmoid(p_t[:, hidden:2 * hidden] + hv @ u_r.value.T)
     rh = r * hv
-    c = np.tanh(xv @ w_c.value.T + b_c.value + rh @ u_c.value.T)
+    c = np.tanh(p_t[:, 2 * hidden:] + rh @ u_c.value.T)
     value = np.where(keep, z * hv + (1.0 - z) * c, hv)
 
     def backward(g):
@@ -402,13 +411,16 @@ def gru_cell(tape, x, h, active, w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c):
         d_rh = d_c @ u_c.value
         d_r = d_rh * hv * r * (1.0 - r)
         d_h = g_step * z + d_rh * r + d_z @ u_z.value + d_r @ u_r.value
-        _accum(x, d_z @ w_z.value + d_r @ w_r.value + d_c @ w_c.value)
+        if x_proj.grad is None:
+            x_proj.grad = np.zeros_like(pv)
+        g_t = x_proj.grad[:, t]
+        g_t[:, :hidden] += d_z
+        g_t[:, hidden:2 * hidden] += d_r
+        g_t[:, 2 * hidden:] += d_c
         _accum(h, np.where(keep, d_h, g))
-        for d, w, u, b, state in ((d_z, w_z, u_z, b_z, hv), (d_r, w_r, u_r, b_r, hv),
-                                  (d_c, w_c, u_c, b_c, rh)):
-            _accum(w, d.T @ xv)
-            _accum(u, d.T @ state)
-            _accum(b, d.sum(axis=0))
+        _accum(u_z, d_z.T @ hv)
+        _accum(u_r, d_r.T @ hv)
+        _accum(u_c, d_c.T @ rh)
 
     return _make(tape, value, backward)
 
@@ -504,18 +516,20 @@ def embedding_lookup(tape, table, ids):
     """Select rows of an embedding table by integer id.
 
     Mathematically identical to multiplying the table by one-hot vectors.
-    ``ids`` is a ``(B,)`` integer array; the output is ``(B, E)``.
+    ``ids`` is an integer array of rank >= 1, such as a ``(B, T)`` batch of
+    token sequences; the output is ``ids.shape + (E,)``.
     """
     ids = np.asarray(ids)
-    if table.value.ndim != 2 or ids.ndim != 1:
+    if table.value.ndim != 2 or ids.ndim < 1:
         raise ShapeError(f"embedding_lookup: table {table.value.shape} must be a matrix "
-                         f"and ids {ids.shape} a vector")
+                         f"and ids {ids.shape} at least a vector")
     vocab = table.value.shape[0]
-    bad = np.where((ids < 0) | (ids >= vocab))[0]
-    if bad.size:
+    bad = (ids < 0) | (ids >= vocab)
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
         raise VocabularyError(
-            f"embedding_lookup: id {int(ids[bad[0]])} at position {int(bad[0])} "
-            f"outside vocabulary of size {vocab}")
+            f"embedding_lookup: id {int(ids[at])} at position "
+            f"{at[0] if ids.ndim == 1 else at} outside vocabulary of size {vocab}")
     value = table.value[ids]
 
     def backward(g):

@@ -93,9 +93,10 @@ class ParameterStore:
         self.flat_m = np.zeros(total)
         self.flat_v = np.zeros(total)
         self._params = {}
+        self._spans = {}
         offset = 0
         for name, array in arrays.items():
-            span = slice(offset, offset + array.size)
+            span = self._spans[name] = slice(offset, offset + array.size)
             views = [flat[span].reshape(array.shape) for flat in
                      (self.flat_value, self.flat_grad, self.flat_m, self.flat_v)]
             views[0][...] = array
@@ -114,6 +115,19 @@ class ParameterStore:
 
     def values(self):
         return {name: p.value for name, p in self._params.items()}
+
+    def stacked(self, names):
+        """``(value, grad)`` views over the parameters ``names`` stacked along
+        their first axis, as one span of the arena: the names must have been
+        registered one after another and share their trailing shape."""
+        spans = [self._spans[name] for name in names]
+        trailing = self._params[names[0]].value.shape[1:]
+        if any(a.stop != b.start for a, b in zip(spans, spans[1:])) or any(
+                self._params[name].value.shape[1:] != trailing for name in names):
+            raise InvalidArgumentError(f"parameters {names} are not one stackable span")
+        span = slice(spans[0].start, spans[-1].stop)
+        return tuple(flat[span].reshape((-1,) + trailing)
+                     for flat in (self.flat_value, self.flat_grad))
 
     def grad_norm(self):
         # einsum rather than np.dot: a threaded BLAS dot can stall for a

@@ -10,6 +10,7 @@ import pytest
 import cubevqa.cli as cli
 import cubevqa.tensor as T
 from cubevqa import data
+from cubevqa.training import ParameterStore
 
 
 def run(argv):
@@ -96,6 +97,10 @@ def test_train_writes_checkpoint_and_manifest(tiny_dataset, tmp_path, capsys):
     assert manifest["train_config"]["learning_rate"] == 0.01
     assert os.path.exists(manifest["checkpoint"])
     assert "test_accuracy" in manifest["final_metrics"]
+    assert manifest["vocab_sha256"] == {
+        kind: data.vocab_digest(data.load_vocab(os.path.join(tiny_dataset,
+                                                             f"{kind}_vocab.txt")))
+        for kind in ("question", "answer")}
 
 
 def test_train_deterministic_checkpoints(tiny_dataset, tmp_path):
@@ -266,6 +271,23 @@ def test_eval_vocabulary_mismatch(trained_run, tmp_path, capsys):
         assert sizes in err and "13 and 13" in err
 
 
+def test_eval_reordered_answer_vocabulary_is_refused(trained_run, tiny_dataset, tmp_path,
+                                                     capsys):
+    # same entries and size, but two answer ids swapped: every prediction of
+    # those answers would be scored against the other one
+    swapped = str(tmp_path / "swapped")
+    shutil.copytree(tiny_dataset, swapped)
+    path = os.path.join(swapped, "answer_vocab.txt")
+    lines = open(path).read().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    open(path, "w").write("".join(lines))
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
+                "--data", swapped, "--csv", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "answer vocabulary" in err and "answer_vocab.txt" in err
+
+
 def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_path,
                                                 capsys):
     manifest = json.load(open(os.path.join(trained_run, "manifest.json")))
@@ -273,7 +295,10 @@ def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_
               dict(manifest, model={k: v for k, v in manifest["model"].items()
                                     if k != "feat_dim"}),
               {k: v for k, v in manifest.items() if k != "model"},
-              dict(manifest, model=[1, 2]), [manifest]]
+              dict(manifest, model=[1, 2]), [manifest],
+              {k: v for k, v in manifest.items() if k != "vocab_sha256"},
+              dict(manifest, vocab_sha256={"answer": manifest["vocab_sha256"]["answer"]}),
+              dict(manifest, vocab_sha256=dict(manifest["vocab_sha256"], question=1))]
     for case, content in enumerate(broken):
         run_dir = tmp_path / str(case)
         run_dir.mkdir()
@@ -364,6 +389,36 @@ def test_gradcheck_repeatable(capsys):
     first = capsys.readouterr().out
     assert run(["gradcheck", "--variant", "ca", "--seed", "2"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
+def test_gradcheck_stage_probes_match_full_reevaluation(variant, literal):
+    # probing each parameter from its first stage returns the bits of
+    # probing it with the whole forward
+    staged = cli.gradcheck_model(variant, 3, literal_spatial=literal)
+    vqa_model, batch = cli.gradcheck_instance(variant, 3, literal_spatial=literal)
+    tape = T.Tape()
+    loss, _ = vqa_model.batch_loss(tape, batch, vqa_model.leaves())
+    tape.backward(loss)
+    grads = {name: vqa_model.store[name].grad for name in vqa_model.store.names()}
+    leaves = vqa_model.leaves()
+    full = T.finite_difference_check(
+        lambda: float(vqa_model.batch_loss(None, batch, leaves)[0].value),
+        vqa_model.store.values(), grads)
+    assert staged == full
+    assert list(staged[1]) == vqa_model.store.names()
+    # the stages partition the parameters, each named once, in store order
+    probes = vqa_model.stage_probes(batch, leaves)
+    assert [name for names, _ in probes for name in names] == vqa_model.store.names()
+
+
+def test_stage_probes_refuse_a_parameter_of_no_stage():
+    vqa_model, batch = cli.gradcheck_instance("ra", 0)
+    vqa_model.store = ParameterStore(dict(vqa_model.store.values(),
+                                          **{"extra.w": np.zeros(2)}))
+    with pytest.raises(T.InvalidArgumentError, match="extra.w"):
+        vqa_model.stage_probes(batch, vqa_model.leaves())
 
 
 def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):

@@ -15,20 +15,45 @@ ENCODER_PARAMS = ("embed", "w_update", "u_update", "b_update", "w_reset", "u_res
                   "b_reset", "w_cand", "u_cand", "b_cand")
 
 
+def _gate_view(stacked, index):
+    """A property reading gate ``index``'s block of a stacked leaf as a leaf."""
+
+    def view(self):
+        full = getattr(self, stacked)
+        hidden = self.u_update.value.shape[0]
+        rows = slice(index * hidden, (index + 1) * hidden)
+        block = Tensor(full.value[rows])
+        block.grad = None if full.grad is None else full.grad[rows]
+        return block
+
+    return property(view)
+
+
+class GateParams(E.EncoderParams):
+    """Encoder parameters whose stacked input weights and biases also read as
+    per-gate views, under the names the scalar oracle and the parameter store
+    use. A view's ``grad`` is its block of the stacked gradient."""
+
+    w_update, w_reset, w_cand = (_gate_view("w_input", i) for i in range(3))
+    b_update, b_reset, b_cand = (_gate_view("b_input", i) for i in range(3))
+
+
 def make_params(vocab=7, embed=4, hidden=5, seed=0, zero=False):
     rng = np.random.default_rng(seed)
 
     def init(shape):
-        return Tensor(np.zeros(shape) if zero else rng.uniform(-0.5, 0.5, shape))
+        return np.zeros(shape) if zero else rng.uniform(-0.5, 0.5, shape)
 
-    return E.EncoderParams(
-        embed=init((vocab, embed)),
-        w_update=init((hidden, embed)), u_update=init((hidden, hidden)),
-        b_update=init((hidden,)),
-        w_reset=init((hidden, embed)), u_reset=init((hidden, hidden)),
-        b_reset=init((hidden,)),
-        w_cand=init((hidden, embed)), u_cand=init((hidden, hidden)),
-        b_cand=init((hidden,)))
+    table = init((vocab, embed))
+    gates = {}
+    for gate in ("update", "reset", "cand"):
+        gates[gate] = (init((hidden, embed)), init((hidden, hidden)), init((hidden,)))
+    return GateParams(
+        embed=Tensor(table),
+        w_input=Tensor(np.concatenate([w for w, _, _ in gates.values()])),
+        b_input=Tensor(np.concatenate([b for _, _, b in gates.values()])),
+        u_update=Tensor(gates["update"][1]), u_reset=Tensor(gates["reset"][1]),
+        u_cand=Tensor(gates["cand"][1]))
 
 
 def encode(tape, params, tokens):
@@ -37,9 +62,16 @@ def encode(tape, params, tokens):
     return E.encode_questions_batch(tape, params, tokens[None], [tokens.size])
 
 
+def cell(params, x, h, active):
+    """One GRU step of input rows ``x`` (B, E) from states ``h`` (B, H),
+    through the input projection as the encoder computes it."""
+    x_proj = T.affine(None, Tensor(np.asarray(x)[:, None]), params.w_input, params.b_input)
+    return E.gru_step(None, params, x_proj, 0, Tensor(h), active)
+
+
 def step(params, x, h):
     """One GRU step of single rows ``x`` (E,) and ``h`` (H,) as a batch of one."""
-    return E.gru_step(None, params, Tensor(x[None]), Tensor(h[None]), [True])
+    return cell(params, x[None], h[None], [True])
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +125,19 @@ def test_gru_step_all_zero_params():
 
 def test_gru_step_rejects_mismatched_state():
     params = make_params()
+    x_proj, h = Tensor(np.zeros((2, 3, 15))), Tensor(np.zeros((2, 5)))
     active = np.ones(2, dtype=bool)
     with pytest.raises(ShapeError):
-        E.gru_step(None, params, Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 5))), active)
+        E.gru_step(None, params, x_proj, 0, Tensor(np.zeros((1, 5))), active)
     with pytest.raises(ShapeError):
-        E.gru_step(None, params, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), active)
+        E.gru_step(None, params, Tensor(np.zeros((2, 3, 12))), 0, h, active)
     with pytest.raises(ShapeError):
-        E.gru_step(None, params, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 5))),
-                   active[:1])
+        E.gru_step(None, params, x_proj, 0, h, active[:1])
+    with pytest.raises(ShapeError):  # a step the projection does not hold
+        E.gru_step(None, params, x_proj, 3, h, active)
     with pytest.raises(ShapeError):  # the batch axis is required
-        E.gru_step(None, params, Tensor(np.zeros(4)), Tensor(np.zeros(5)), active[:1])
+        E.gru_step(None, params, Tensor(np.zeros((3, 15))), 0, Tensor(np.zeros(5)),
+                   active[:1])
 
 
 def test_gru_step_update_gate_keeps_previous_state():
@@ -119,8 +154,8 @@ def test_gru_step_inactive_rows_carry_state():
     params = make_params(seed=20)
     rng = np.random.default_rng(21)
     x, h = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 5))
-    full = E.gru_step(None, params, Tensor(x), Tensor(h), np.ones(3, dtype=bool))
-    out = E.gru_step(None, params, Tensor(x), Tensor(h), np.array([True, False, True]))
+    full = cell(params, x, h, np.ones(3, dtype=bool))
+    out = cell(params, x, h, np.array([True, False, True]))
     npt.assert_array_equal(out.value[[0, 2]], full.value[[0, 2]])
     npt.assert_array_equal(out.value[1], h[1])
 
@@ -156,7 +191,7 @@ def test_gru_state_bounded_by_convex_combination():
     rng = np.random.default_rng(9)
     h = Tensor(rng.uniform(-0.9, 0.9, (1, 5)))
     for _ in range(30):
-        h = E.gru_step(None, params, Tensor(rng.uniform(-3, 3, (1, 4))), h, [True])
+        h = cell(params, rng.uniform(-3, 3, (1, 4)), h.value, [True])
         assert np.max(np.abs(h.value)) <= 1.0 + 1e-12
 
 
@@ -167,8 +202,8 @@ def test_gru_state_bounded_by_convex_combination():
 def test_encode_single_token_is_one_step_from_zero():
     params = make_params(seed=10)
     one = encode(None, params, [3])
-    x = T.embedding_lookup(None, params.embed, np.array([3]))
-    first = E.gru_step(None, params, x, Tensor(np.zeros((1, 5))), [True])
+    x_proj = E.project_inputs(None, params, np.array([[3]]))
+    first = E.gru_step(None, params, x_proj, 0, Tensor(np.zeros((1, 5))), [True])
     npt.assert_array_equal(one.value, first.value)
 
 
@@ -258,8 +293,9 @@ def test_batched_encoder_records_one_gru_node_per_step():
     ids = np.array([[1, 2, 3, 4, 5], [6, 5, 4, 0, 0]])
     tape = Tape()
     E.encode_questions_batch(tape, params, ids, np.array([5, 3]))
-    # per step: the embedding lookup and the GRU cell
-    assert len(tape) <= 2 * ids.shape[1]
+    # the embedding lookup and input projection of all steps, then one cell
+    # per step
+    assert len(tape) == ids.shape[1] + 2
 
 
 def test_encoder_gradients_match_finite_differences():

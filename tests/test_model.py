@@ -73,6 +73,27 @@ def test_bias_zero_and_weights_fan_scaled():
     assert np.max(np.abs(w)) <= limit
 
 
+def test_encoder_input_leaves_stack_the_per_gate_parameters():
+    # the encoder is registered kind-major, so each gate triple of input
+    # weights and of biases is one span of the arena, read as one leaf
+    model = VqaModel(desk_config("cva"), seed=2)
+    gates = ("update", "reset", "cand")
+    assert model.store.names()[:10] == ["enc.embed"] + [
+        f"enc.{kind}_{gate}" for kind in ("w", "u", "b") for gate in gates]
+    leaves = model.leaves()
+    for stacked, kind in (("enc.w_input", "w"), ("enc.b_input", "b")):
+        parts = [model.store[f"enc.{kind}_{gate}"] for gate in gates]
+        npt.assert_array_equal(leaves[stacked].value,
+                               np.concatenate([p.value for p in parts]))
+        assert np.shares_memory(leaves[stacked].value, parts[0].value)
+        assert np.shares_memory(leaves[stacked].grad, parts[2].grad)
+        assert f"enc.{kind}_update" not in leaves
+    with pytest.raises(InvalidArgumentError):  # not one after another
+        model.store.stacked(["enc.w_update", "enc.w_cand"])
+    with pytest.raises(InvalidArgumentError):  # (H, E) then (H, H) rows
+        model.store.stacked(["enc.w_cand", "enc.u_update"])
+
+
 def make_batch(model_cfg, batch=5, k=4, seed=0):
     rng = substream(seed, "test-batch")
     feats = rng.uniform(-1, 1, (batch, k, model_cfg.feat_dim))

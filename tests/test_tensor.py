@@ -205,6 +205,9 @@ def test_embedding_lookup_out_of_range_names_position():
     with pytest.raises(VocabularyError) as err:
         T.embedding_lookup(None, table, np.array([0, 5, 1]))
     assert "5" in str(err.value) and "position 1" in str(err.value)
+    with pytest.raises(VocabularyError) as err:  # a (B, T) batch of sequences
+        T.embedding_lookup(None, table, np.array([[0, 1, 2], [2, 1, -1]]))
+    assert "-1" in str(err.value) and "position (1, 2)" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +349,16 @@ def _builders(rng):
                           [v((2, 5))]),
         "embedding": (lambda t, l: T.embedding_lookup(t, l[0], np.array([1, 0, 1])),
                       [v((3, 4))]),
-        # x (B, E), h (B, H), the (B,) mask, then (W, U, b) per gate
-        "gru_cell": (lambda t, l: T.gru_cell(t, l[0], l[1], [True] * 3, *l[2:]),
-                     [v((3, 4)), v((3, 5))] + [v((5, 4)), v((5, 5)), v(5)] * 3),
+        # x (B, T, E), h (B, H), the stacked (3H, E) input weight and (3H,)
+        # bias, then U per gate; the cell reads step 1 of the input projection,
+        # so step 0 of x must get no gradient
+        "gru_cell": (lambda t, l: T.gru_cell(t, T.affine(t, l[0], l[2], l[3]), 1, l[1],
+                                             [True] * 3, *l[4:]),
+                     [v((3, 2, 4)), v((3, 5)), v((15, 4)), v(15)] + [v((5, 5))] * 3),
         # the middle row's question has ended: its state and gradient pass through
-        "gru_cell_masked": (lambda t, l: T.gru_cell(t, l[0], l[1], [True, False, True],
-                                                    *l[2:]),
-                            [v((3, 4)), v((3, 5))] + [v((5, 4)), v((5, 5)), v(5)] * 3),
+        "gru_cell_masked": (lambda t, l: T.gru_cell(t, T.affine(t, l[0], l[2], l[3]), 1,
+                                                    l[1], [True, False, True], *l[4:]),
+                            [v((3, 2, 4)), v((3, 5)), v((15, 4)), v(15)] + [v((5, 5))] * 3),
     }
 
 
@@ -405,11 +411,15 @@ def test_region_mask_and_row_counts_have_no_default():
     assert with_default == []
 
 
-# every gradient-check case ends in mean_all and the softmax case composes
-# softmax with mul, so these two get single-op cases here; embedding_lookup's
-# case is named "embedding"
+# every gradient-check case ends in mean_all, the softmax case composes
+# softmax with mul and the GRU cases feed the cell through affine, so these
+# get single-op cases here; embedding_lookup's case is named "embedding"
 _TAPELESS_CASES = {name: (lambda t, l, op=getattr(T, name): op(t, l[0]),
                           [np.linspace(-2.0, 3.0, 6)]) for name in ("softmax", "mean_all")}
+_TAPELESS_CASES["gru_cell"] = (
+    lambda t, l: T.gru_cell(t, l[0], 1, l[1], [True, False, True], *l[2:]),
+    [np.linspace(-2.0, 3.0, 90).reshape(3, 2, 15), np.linspace(-1.0, 1.0, 15).reshape(3, 5)]
+    + [np.linspace(-0.5, 0.5, 25).reshape(5, 5)] * 3)
 _CASE_OF = {"embedding_lookup": "embedding"}
 
 

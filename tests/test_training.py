@@ -295,6 +295,36 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         npt.assert_array_equal(fresh.store[n].v, model.store[n].v)
 
 
+def test_gate_interleaved_checkpoint_restores_into_kind_major_store(tmp_path):
+    # checkpoints written while the store registered the encoder gate by gate
+    # (w, u, b of the update gate, then of reset, then of cand) restore by name
+    model = VqaModel(ModelConfig(variant="cva", vocab_size=7, num_answers=5,
+                                 feat_dim=6), seed=5)
+    gates = [f"enc.{kind}_{gate}" for gate in ("update", "reset", "cand")
+             for kind in ("w", "u", "b")]
+    names = ["enc.embed"] + gates + model.store.names()[10:]
+    assert sorted(names) == sorted(model.store.names()) and names != model.store.names()
+    rng = np.random.default_rng(6)
+    sections = [{n: rng.standard_normal(model.store[n].value.shape) for n in names}
+                for _ in range(3)]
+    blob = [b"CVAC", struct.pack("<II", 1, len(names))]
+    for section in sections:
+        for name, array in section.items():
+            encoded = name.encode("utf-8")
+            blob += [struct.pack("<H", len(encoded)), encoded,
+                     struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape),
+                     array.astype("<f8").tobytes()]
+    blob.append(struct.pack("<Q", 42))
+    path = tmp_path / "interleaved.cvac"
+    path.write_bytes(b"".join(blob))
+    assert list(load_checkpoint(str(path))[0]) == names
+    restore_checkpoint(model.store, str(path))
+    assert model.store.step == 42
+    for attr, section in zip(("value", "m", "v"), sections):
+        for name, array in section.items():
+            assert getattr(model.store[name], attr).tobytes() == array.tobytes(), name
+
+
 def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
     store = small_store()
     store.step = 7
