@@ -43,10 +43,12 @@ class Tensor:
     equivalent to a zero-initialized buffer, unless the owner binds a buffer
     beforehand (the model's parameter leaves bind their gradient views in the
     parameter arena). Instances are immutable once published to readers; only
-    the training loop mutates parameter values, and only between steps.
+    the training loop mutates parameter values, and only between steps. A
+    node made by ``constant`` never gets a gradient: its ``grad`` stays
+    ``None``, and the backward rules skip the work that would compute it.
     """
 
-    __slots__ = ("value", "grad", "_backward")
+    __slots__ = ("value", "grad", "_backward", "_constant")
 
     def __init__(self, value):
         # fast path: a float64 op output's dtype is the DTYPE object itself
@@ -56,6 +58,7 @@ class Tensor:
             self.value = np.asarray(value, dtype=DTYPE)
         self.grad = None
         self._backward = None
+        self._constant = False
 
     @property
     def shape(self):
@@ -66,8 +69,11 @@ class Tensor:
 
 
 def constant(value):
-    """Wrap an array as a leaf node (input data, masks, fixed coefficients)."""
-    return Tensor(value)
+    """Wrap an array as a leaf node that gets no gradient (input data, masks,
+    fixed coefficients)."""
+    out = Tensor(value)
+    out._constant = True
+    return out
 
 
 class Tape:
@@ -104,6 +110,8 @@ class Tape:
 
 
 def _accum(tensor, grad):
+    if tensor._constant:
+        return
     if tensor.grad is None:
         tensor.grad = np.array(grad, dtype=tensor.value.dtype, copy=True)
     else:
@@ -182,8 +190,10 @@ def mul(tape, a, b):
     value = a.value * b.value
 
     def backward(g):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
+        if not a._constant:
+            _accum(a, g * b.value)
+        if not b._constant:
+            _accum(b, g * a.value)
 
     return _make(tape, value, backward)
 
@@ -197,7 +207,8 @@ def mul_vec(tape, m, v):
     value = m.value * vexp
 
     def backward(g):
-        _accum(m, g * vexp)
+        if not m._constant:
+            _accum(m, g * vexp)
         _accum(v, (g * m.value).sum(axis=-2))
 
     return _make(tape, value, backward)
@@ -215,7 +226,8 @@ def scale_rows(tape, m, w):
     value = m.value * wexp
 
     def backward(g):
-        _accum(m, g * wexp)
+        if not m._constant:
+            _accum(m, g * wexp)
         _accum(w, (g * m.value).sum(axis=-1))
 
     return _make(tape, value, backward)
@@ -269,7 +281,8 @@ def affine(tape, x, w, b=None):
 
     def backward(g):
         g_rows = g.reshape(-1, m_dim)
-        _accum(x, (g_rows @ w.value).reshape(x.value.shape))
+        if not x._constant:
+            _accum(x, (g_rows @ w.value).reshape(x.value.shape))
         _accum(w, g_rows.T @ rows)
         if b is not None:
             _accum(b, g_rows.sum(axis=0))
@@ -470,7 +483,8 @@ def mean_over_rows(tape, m, counts):
     value = m.value.sum(axis=-2) / counts
 
     def backward(g):
-        _accum(m, np.broadcast_to((g / counts)[..., None, :], m.value.shape))
+        if not m._constant:
+            _accum(m, np.broadcast_to((g / counts)[..., None, :], m.value.shape))
 
     return _make(tape, value, backward)
 
@@ -489,7 +503,8 @@ def weighted_row_sum(tape, m, w, prefactor):
     value = factor * np.einsum("bk,bkn->bn", w.value, m.value)
 
     def backward(g):
-        _accum(m, factor[..., None] * w.value[..., None] * g[..., None, :])
+        if not m._constant:
+            _accum(m, factor[..., None] * w.value[..., None] * g[..., None, :])
         _accum(w, factor * (m.value * g[..., None, :]).sum(axis=-1))
 
     return _make(tape, value, backward)

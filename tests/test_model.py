@@ -144,6 +144,35 @@ def test_batched_gradients_match_instance_sum(variant):
                             err_msg=n)
 
 
+@pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
+def test_constant_inputs_get_no_gradient_and_change_no_parameter_gradient(
+        variant, monkeypatch):
+    # the feature map, dropout mask, gain offset and initial state enter as
+    # constants; made plain leaves, they get gradients the parameters never
+    # read, so the store's gradients must keep every bit
+    config = desk_config(variant)
+    batch = make_batch(config, batch=4, k=5, seed=11)
+    made = {}
+    for kind, make in (("constant", T.constant), ("leaf", T.Tensor)):
+        def record(value, make=make, kind=kind):
+            node = make(value)
+            made.setdefault(kind, []).append(node)
+            return node
+
+        monkeypatch.setattr(T, "constant", record)
+        model = VqaModel(config, seed=12)
+        tape = T.Tape()
+        loss, _ = model.batch_loss(tape, batch, model.leaves(), dropout_rate=0.5,
+                                   dropout_rng=substream(13, "dropout"))
+        tape.backward(loss)
+        made[kind + " grads"] = model.store.flat_grad.copy()
+    assert made["constant grads"].tobytes() == made["leaf grads"].tobytes()
+    (features,) = [n for n in made["constant"] if n.value.shape == batch.features.shape]
+    assert features.grad is None and all(n.grad is None for n in made["constant"])
+    (features,) = [n for n in made["leaf"] if n.value.shape == batch.features.shape]
+    assert features.grad is not None
+
+
 def pad_regions(batch, k):
     """``batch`` with its maps zero-padded to ``k`` regions, counts kept."""
     b, k0, d = batch.features.shape
