@@ -16,8 +16,9 @@ but this module commits to the form above and the tests pin it.
 The input terms ``W x + b`` of all three gates do not depend on the state, so
 they are computed for every step at once, before the recurrence (Appleyard
 et al. 2016): one embedding lookup over the ``(B, T)`` ids and one matmul
-with the stacked ``(3H, E)`` input weight. Each step then adds the three
-per-gate recurrent products ``U h``.
+with the stacked ``(3H, E)`` input weight. The recurrence itself, which
+adds the three per-gate products ``U h`` at each step, is one
+``tensor.gru`` node over all steps.
 """
 
 from dataclasses import dataclass
@@ -65,20 +66,12 @@ def validate_tokens(token_ids, vocab_size, max_len):
 def project_inputs(tape, params, token_ids):
     """Every step's input projection ``W x_t + b`` of a ``(B, T)`` id batch.
 
-    Returns the ``(B, T, 3H)`` node ``gru_cell`` reads its steps from. It
+    Returns the step-major ``(T, B, 3H)`` node ``tensor.gru`` reads. It
     depends on the tokens alone, not on the state, so one embedding lookup and
     one matmul over all ``B * T`` tokens compute it ahead of the recurrence.
     """
-    return T.affine(tape, T.embedding_lookup(tape, params.embed, token_ids),
+    return T.affine(tape, T.embedding_lookup(tape, params.embed, np.asarray(token_ids).T),
                     params.w_input, params.b_input)
-
-
-def gru_step(tape, params, x_proj, t, h_prev, active):
-    """Step ``t`` of the GRU over a batch: ``x_proj`` is the ``(B, T, 3H)``
-    input projection and ``h_prev`` the ``(B, H)`` state; rows outside the
-    ``(B,)`` mask ``active`` keep their state. Records one tape node."""
-    return T.gru_cell(tape, x_proj, t, h_prev, active,
-                      params.u_update, params.u_reset, params.u_cand)
 
 
 def encode_questions_batch(tape, params, token_ids, lengths):
@@ -89,8 +82,8 @@ def encode_questions_batch(tape, params, token_ids, lengths):
     ``T_max`` steps, and a row whose question has ended carries its state
     forward unchanged, so the returned ``(B, H)`` state is each question's
     final state and padding never influences it. One question is a batch of
-    one. Records ``T_max + 2`` tape nodes: the embedding lookup and the input
-    projection of every step, then one cell per step.
+    one. Records 3 tape nodes: the embedding lookup, the input projection of
+    every step and the whole recurrence.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -100,7 +93,5 @@ def encode_questions_batch(tape, params, token_ids, lengths):
     if lengths.shape != (batch,) or (lengths < 1).any() or (lengths > t_max).any():
         raise InvalidArgumentError("lengths must be in [1, T_max] for every example")
     x_proj = project_inputs(tape, params, ids)
-    h = T.constant(np.zeros((batch, params.u_update.value.shape[0])))
-    for t in range(t_max):
-        h = gru_step(tape, params, x_proj, t, h, lengths > t)
-    return h
+    h0 = T.constant(np.zeros((batch, params.u_update.value.shape[0])))
+    return T.gru(tape, x_proj, h0, lengths, params.u_update, params.u_reset, params.u_cand)

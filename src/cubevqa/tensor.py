@@ -7,14 +7,16 @@ audited in isolation. Values are numpy arrays in double precision; a
 buffer, and a ``Tape`` records nodes in execution order so the backward
 sweep can replay them in reverse exactly once. Every primitive ends in
 ``_make``, the one place the tapeless rule lives: with ``tape=None`` a
-primitive evaluates without recording.
+primitive evaluates without recording. The backward does only work a
+parameter needs: a ``constant`` (input data, a mask, a fixed offset) gets
+no gradient, and a rule skips the product that would compute one.
 
 Operands are batched: a leading axis ``B`` indexes the instances, and a
-single instance is a batch of one (``B = 1``). ``channel_scores``,
-``gru_cell``, ``mean_over_rows``, ``weighted_row_sum`` and ``cross_entropy``
-take exactly the batched shapes their docstrings name. The elementwise
-primitives, ``affine``, ``matvec_last``, ``scale_rows`` and ``softmax`` act
-on the trailing axes, whatever axes lead. No other broadcasting exists; the
+single instance is a batch of one (``B = 1``). ``channel_scores``, ``gru``,
+``mean_over_rows``, ``weighted_row_sum`` and ``cross_entropy`` take exactly
+the batched shapes their docstrings name. The elementwise primitives,
+``affine``, ``matvec_last``, ``scale_rows`` and ``softmax`` act on the
+trailing axes, whatever axes lead. No other broadcasting exists; the
 two sanctioned broadcast forms are ``add_vec``/``mul_vec`` (a vector
 combined across the rows of a matrix) and ``add_scalar``.
 """
@@ -378,64 +380,92 @@ def channel_scores(tape, vis, query, w):
 
 
 # ---------------------------------------------------------------------------
-# recurrent cell
+# recurrent network
 
 
-def _sigmoid(a):
-    # computed through tanh for stability at large |a|
-    return 0.5 * (np.tanh(0.5 * a) + 1.0)
+def _sigmoid(a, out=None):
+    # computed through tanh for stability at large |a|; with ``out``, in place
+    s = np.multiply(a, 0.5, out=out)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
-def gru_cell(tape, x_proj, t, h, active, u_z, u_r, u_c):
-    """One GRU update of a batch of rows, recorded as a single node.
+def gru(tape, x_proj, h0, lengths, u_z, u_r, u_c):
+    """A GRU run over a batch of sequences, recorded as a single node.
 
-    ``x_proj`` ``(B, T, 3H)`` holds every step's input projection
-    ``W x + b`` of the update, reset and candidate gates, in that order along
-    its last axis; the cell reads step ``t``. With ``p_z``, ``p_r`` and
-    ``p_c`` the three blocks of ``x_proj[:, t]``: ``z = sigmoid(p_z + U_z h)``,
+    ``x_proj`` ``(T, B, 3H)`` holds every step's input projection ``W x + b``
+    of the update, reset and candidate gates, in that order along its last
+    axis. With ``p_z``, ``p_r`` and ``p_c`` the three blocks of ``x_proj[t]``,
+    step ``t`` maps the state ``h`` to ``z = sigmoid(p_z + U_z h)``,
     ``r = sigmoid(p_r + U_r h)``, ``c = tanh(p_c + U_c (r * h))`` and
-    ``h' = z * h + (1 - z) * c``. ``h`` is ``(B, H)`` and each ``u_*`` is
-    ``(H, H)``: the recurrence keeps one matmul per gate. ``active`` is a
-    ``(B,)`` boolean mask: a row outside it carries its state forward
-    unchanged, ``h' = h``, and its gradient passes straight through to
-    ``h``. The backward writes the three ``U`` gradients, that of ``h`` and
-    step ``t`` of that of ``x_proj`` in one place.
+    ``h' = z * h + (1 - z) * c``. ``h0`` is the ``(B, H)`` initial state and
+    each ``u_*`` is ``(H, H)``. Row ``b`` takes its first ``lengths[b]``
+    steps only: past them it carries its state forward unchanged, and its
+    gradient passes straight through. The output is the ``(B, H)`` state
+    after the last step.
+
+    The forward keeps every step's state, gates and ``r * h`` in ``(T, B, H)``
+    arrays. The backward runs the recurrence in reverse and writes each
+    step's gate gradients straight into the gradient of ``x_proj``; it then
+    forms each ``U`` gradient as one ``(H, T*B) @ (T*B, H)`` product over all
+    steps (Appleyard et al. 2016).
     """
     hidden = u_z.value.shape[0]
-    pv, hv = x_proj.value, h.value
-    active = np.asarray(active, dtype=bool)
-    if (pv.ndim != 3 or pv.shape[2] != 3 * hidden or not 0 <= t < pv.shape[1]
-            or hv.shape != (pv.shape[0], hidden) or active.shape != (pv.shape[0],)):
+    pv, h0v = x_proj.value, h0.value
+    lengths = np.asarray(lengths)
+    if (pv.ndim != 3 or pv.shape[2] != 3 * hidden or h0v.shape != (pv.shape[1], hidden)
+            or lengths.shape != (pv.shape[1],)
+            or not 0 <= lengths.min() <= lengths.max() <= pv.shape[0]):
         raise ShapeError(
-            f"gru_cell: projection {pv.shape} at step {t}, state {hv.shape} and mask "
-            f"{active.shape} do not fit recurrent weights {u_z.value.shape}")
-    p_t = pv[:, t]
-    keep = active[:, None]
-    z = _sigmoid(p_t[:, :hidden] + hv @ u_z.value.T)
-    r = _sigmoid(p_t[:, hidden:2 * hidden] + hv @ u_r.value.T)
-    rh = r * hv
-    c = np.tanh(p_t[:, 2 * hidden:] + rh @ u_c.value.T)
-    value = np.where(keep, z * hv + (1.0 - z) * c, hv)
+            f"gru: projection {pv.shape}, state {h0v.shape} and lengths {lengths} do not "
+            f"fit recurrent weights {u_z.value.shape}")
+    steps, batch = pv.shape[:2]
+    uz, ur, uc = u_z.value, u_r.value, u_c.value
+    # carry[t, b]: row b has ended before step t; ``partial`` lists the steps
+    # at which some row has, the others need no mask
+    carry = (lengths <= np.arange(steps)[:, None])[..., None]
+    partial = carry.any(axis=(1, 2)).tolist()
+    hs = np.empty((steps + 1, batch, hidden))   # hs[t] is step t's input state
+    zs, rs, cs, rhs = (np.empty((steps, batch, hidden)) for _ in range(4))
+    hs[0] = h0v
+    for t in range(steps):
+        h, p_t, z, r, rh, c = hs[t], pv[t], zs[t], rs[t], rhs[t], cs[t]
+        _sigmoid(np.add(p_t[:, :hidden], h @ uz.T, out=z), out=z)
+        _sigmoid(np.add(p_t[:, hidden:2 * hidden], h @ ur.T, out=r), out=r)
+        np.multiply(r, h, out=rh)
+        np.tanh(np.add(p_t[:, 2 * hidden:], rh @ uc.T, out=c), out=c)
+        h_next = np.multiply(z, h, out=hs[t + 1])
+        h_next += (1.0 - z) * c
+        if partial[t]:
+            np.copyto(h_next, h, where=carry[t])
 
     def backward(g):
-        g_step = np.where(keep, g, 0.0)
-        d_z = g_step * (hv - c) * z * (1.0 - z)
-        d_c = g_step * (1.0 - z) * (1.0 - c * c)
-        d_rh = d_c @ u_c.value
-        d_r = d_rh * hv * r * (1.0 - r)
-        d_h = g_step * z + d_rh * r + d_z @ u_z.value + d_r @ u_r.value
-        if x_proj.grad is None:
-            x_proj.grad = np.zeros_like(pv)
-        g_t = x_proj.grad[:, t]
-        g_t[:, :hidden] += d_z
-        g_t[:, hidden:2 * hidden] += d_r
-        g_t[:, 2 * hidden:] += d_c
-        _accum(h, np.where(keep, d_h, g))
-        _accum(u_z, d_z.T @ hv)
-        _accum(u_r, d_r.T @ hv)
-        _accum(u_c, d_c.T @ rh)
+        gx = np.empty(pv.shape)
+        d_h = g
+        for t in reversed(range(steps)):
+            h, z, r, c, g_t = hs[t], zs[t], rs[t], cs[t], gx[t]
+            g_step = np.where(carry[t], 0.0, d_h) if partial[t] else d_h
+            one_minus_z = 1.0 - z
+            d_z = np.multiply(g_step * (h - c) * z, one_minus_z, out=g_t[:, :hidden])
+            d_c = np.multiply(g_step * one_minus_z, 1.0 - c * c, out=g_t[:, 2 * hidden:])
+            d_rh = d_c @ uc
+            d_r = np.multiply(d_rh * h * r, 1.0 - r, out=g_t[:, hidden:2 * hidden])
+            d_prev = g_step * z + d_rh * r + d_z @ uz + d_r @ ur
+            d_h = np.where(carry[t], d_h, d_prev) if partial[t] else d_prev
+        _accum(h0, d_h)
+        rows = gx.reshape(steps * batch, 3 * hidden)
+        states = hs[:steps].reshape(-1, hidden)
+        _accum(u_z, rows[:, :hidden].T @ states)
+        _accum(u_r, rows[:, hidden:2 * hidden].T @ states)
+        _accum(u_c, rows[:, 2 * hidden:].T @ rhs.reshape(-1, hidden))
+        if x_proj.grad is None and not x_proj._constant:
+            x_proj.grad = gx   # the buffer is this node's own: no copy
+        else:
+            _accum(x_proj, gx)
 
-    return _make(tape, value, backward)
+    return _make(tape, hs[steps], backward)
 
 
 # ---------------------------------------------------------------------------

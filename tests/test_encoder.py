@@ -62,11 +62,17 @@ def encode(tape, params, tokens):
     return E.encode_questions_batch(tape, params, tokens[None], [tokens.size])
 
 
+def run_gru(params, x_proj, h0, lengths):
+    """``tensor.gru`` with the encoder's recurrent weights, tapeless."""
+    return T.gru(None, x_proj, h0, lengths, params.u_update, params.u_reset, params.u_cand)
+
+
 def cell(params, x, h, active):
-    """One GRU step of input rows ``x`` (B, E) from states ``h`` (B, H),
-    through the input projection as the encoder computes it."""
-    x_proj = T.affine(None, Tensor(np.asarray(x)[:, None]), params.w_input, params.b_input)
-    return E.gru_step(None, params, x_proj, 0, Tensor(h), active)
+    """One GRU step of input rows ``x`` (B, E) from states ``h`` (B, H), as a
+    one-step ``gru`` run through the input projection as the encoder computes
+    it; a row outside the ``(B,)`` mask ``active`` takes no step."""
+    x_proj = T.affine(None, Tensor(np.asarray(x)[None]), params.w_input, params.b_input)
+    return run_gru(params, x_proj, Tensor(h), np.asarray(active, dtype=np.int64))
 
 
 def step(params, x, h):
@@ -114,7 +120,7 @@ def test_validate_tokens_errors():
 
 
 # ---------------------------------------------------------------------------
-# gru_step
+# one GRU step: a one-step gru run from a given state
 
 
 def test_gru_step_all_zero_params():
@@ -125,19 +131,18 @@ def test_gru_step_all_zero_params():
 
 def test_gru_step_rejects_mismatched_state():
     params = make_params()
-    x_proj, h = Tensor(np.zeros((2, 3, 15))), Tensor(np.zeros((2, 5)))
-    active = np.ones(2, dtype=bool)
+    x_proj, h = Tensor(np.zeros((3, 2, 15))), Tensor(np.zeros((2, 5)))
+    lengths = np.ones(2, dtype=np.int64)
     with pytest.raises(ShapeError):
-        E.gru_step(None, params, x_proj, 0, Tensor(np.zeros((1, 5))), active)
+        run_gru(params, x_proj, Tensor(np.zeros((1, 5))), lengths)
     with pytest.raises(ShapeError):
-        E.gru_step(None, params, Tensor(np.zeros((2, 3, 12))), 0, h, active)
+        run_gru(params, Tensor(np.zeros((3, 2, 12))), h, lengths)
     with pytest.raises(ShapeError):
-        E.gru_step(None, params, x_proj, 0, h, active[:1])
+        run_gru(params, x_proj, h, lengths[:1])
     with pytest.raises(ShapeError):  # a step the projection does not hold
-        E.gru_step(None, params, x_proj, 3, h, active)
+        run_gru(params, x_proj, h, np.array([1, 4]))
     with pytest.raises(ShapeError):  # the batch axis is required
-        E.gru_step(None, params, Tensor(np.zeros((3, 15))), 0, Tensor(np.zeros(5)),
-                   active[:1])
+        run_gru(params, Tensor(np.zeros((3, 15))), Tensor(np.zeros(5)), lengths[:1])
 
 
 def test_gru_step_update_gate_keeps_previous_state():
@@ -203,7 +208,7 @@ def test_encode_single_token_is_one_step_from_zero():
     params = make_params(seed=10)
     one = encode(None, params, [3])
     x_proj = E.project_inputs(None, params, np.array([[3]]))
-    first = E.gru_step(None, params, x_proj, 0, Tensor(np.zeros((1, 5))), [True])
+    first = run_gru(params, x_proj, Tensor(np.zeros((1, 5))), [1])
     npt.assert_array_equal(one.value, first.value)
 
 
@@ -288,14 +293,14 @@ def test_batched_encoding_gradients_match_per_example():
                             atol=1e-12, err_msg=name)
 
 
-def test_batched_encoder_records_one_gru_node_per_step():
+def test_batched_encoder_records_one_gru_node():
     params = make_params(seed=19)
     ids = np.array([[1, 2, 3, 4, 5], [6, 5, 4, 0, 0]])
     tape = Tape()
     E.encode_questions_batch(tape, params, ids, np.array([5, 3]))
-    # the embedding lookup and input projection of all steps, then one cell
-    # per step
-    assert len(tape) == ids.shape[1] + 2
+    # the embedding lookup and input projection of all steps, then the whole
+    # recurrence, whatever the number of steps
+    assert len(tape) == 3
 
 
 def test_encoder_gradients_match_finite_differences():

@@ -349,16 +349,16 @@ def _builders(rng):
                           [v((2, 5))]),
         "embedding": (lambda t, l: T.embedding_lookup(t, l[0], np.array([1, 0, 1])),
                       [v((3, 4))]),
-        # x (B, T, E), h (B, H), the stacked (3H, E) input weight and (3H,)
-        # bias, then U per gate; the cell reads step 1 of the input projection,
-        # so step 0 of x must get no gradient
-        "gru_cell": (lambda t, l: T.gru_cell(t, T.affine(t, l[0], l[2], l[3]), 1, l[1],
-                                             [True] * 3, *l[4:]),
-                     [v((3, 2, 4)), v((3, 5)), v((15, 4)), v(15)] + [v((5, 5))] * 3),
-        # the middle row's question has ended: its state and gradient pass through
-        "gru_cell_masked": (lambda t, l: T.gru_cell(t, T.affine(t, l[0], l[2], l[3]), 1,
-                                                    l[1], [True, False, True], *l[4:]),
-                            [v((3, 2, 4)), v((3, 5)), v((15, 4)), v(15)] + [v((5, 5))] * 3),
+        # x (T, B, E), a non-zero h0 (B, H), the stacked (3H, E) input weight
+        # and (3H,) bias, then U per gate; every row takes all three steps
+        "gru": (lambda t, l: T.gru(t, T.affine(t, l[0], l[2], l[3]), l[1], [3, 3, 3],
+                                   *l[4:]),
+                [v((3, 3, 4)), v((3, 5)), v((15, 4)), v(15)] + [v((5, 5))] * 3),
+        # the middle row takes no step and the last two: past its length a row's
+        # state and gradient pass through, and its later steps of x get none
+        "gru_masked": (lambda t, l: T.gru(t, T.affine(t, l[0], l[2], l[3]), l[1],
+                                          [3, 0, 2], *l[4:]),
+                       [v((3, 3, 4)), v((3, 5)), v((15, 4)), v(15)] + [v((5, 5))] * 3),
     }
 
 
@@ -367,7 +367,7 @@ def _builders(rng):
     "softmax", "mean_over_rows",
     "weighted_row_sum", "scale_rows", "add_vec", "mul_vec", "add_scalar",
     "mul", "add", "tanh", "scale", "cross_entropy",
-    "embedding", "gru_cell", "gru_cell_masked",
+    "embedding", "gru", "gru_masked",
 ])
 def test_primitive_gradients_match_finite_differences(case):
     builder, arrays = _builders(np.random.default_rng(hash(case) % 2**32))[case]
@@ -388,7 +388,7 @@ def test_every_primitive_is_used_by_the_package():
     callers = "".join(path.read_text() for path in sorted(package.glob("*.py"))
                       if path.name != "tensor.py")
     primitives = _primitives()
-    assert "gru_cell" in primitives and "cross_entropy" in primitives
+    assert "gru" in primitives and "cross_entropy" in primitives
     unused = [name for name in primitives
               if not re.search(rf"\bT\.{name}\(", callers)]
     assert unused == []
@@ -412,13 +412,13 @@ def test_region_mask_and_row_counts_have_no_default():
 
 
 # every gradient-check case ends in mean_all, the softmax case composes
-# softmax with mul and the GRU cases feed the cell through affine, so these
-# get single-op cases here; embedding_lookup's case is named "embedding"
+# softmax with mul and the GRU cases feed the recurrence through affine, so
+# these get single-op cases here; embedding_lookup's case is named "embedding"
 _TAPELESS_CASES = {name: (lambda t, l, op=getattr(T, name): op(t, l[0]),
                           [np.linspace(-2.0, 3.0, 6)]) for name in ("softmax", "mean_all")}
-_TAPELESS_CASES["gru_cell"] = (
-    lambda t, l: T.gru_cell(t, l[0], 1, l[1], [True, False, True], *l[2:]),
-    [np.linspace(-2.0, 3.0, 90).reshape(3, 2, 15), np.linspace(-1.0, 1.0, 15).reshape(3, 5)]
+_TAPELESS_CASES["gru"] = (
+    lambda t, l: T.gru(t, l[0], l[1], [2, 0, 1], *l[2:]),
+    [np.linspace(-2.0, 3.0, 90).reshape(2, 3, 15), np.linspace(-1.0, 1.0, 15).reshape(3, 5)]
     + [np.linspace(-0.5, 0.5, 25).reshape(5, 5)] * 3)
 _CASE_OF = {"embedding_lookup": "embedding"}
 
