@@ -134,6 +134,35 @@ def _vocab_digests(dataset):
             "answer": data.vocab_digest(dataset.answer_vocab)}
 
 
+def _read_manifest(checkpoint):
+    """``(path, contents)`` of the ``manifest.json`` beside ``checkpoint``."""
+    path = os.path.join(os.path.dirname(os.path.abspath(checkpoint)), "manifest.json")
+    if not os.path.exists(path):
+        raise data.FormatError(f"no manifest.json next to checkpoint {checkpoint}")
+    with open(path, "r", encoding="utf-8") as fh:
+        return path, json.load(fh)
+
+
+def _trained_digests(manifest_path, manifest):
+    """The vocabulary digests a manifest records for its checkpoint."""
+    digests = manifest.get("vocab_sha256") if isinstance(manifest, dict) else None
+    if (not isinstance(digests, dict) or sorted(digests) != ["answer", "question"]
+            or not all(isinstance(d, str) for d in digests.values())):
+        raise data.FormatError(f"{manifest_path}: no \"vocab_sha256\" entry with the "
+                               f"question and answer vocabulary digests")
+    return digests
+
+
+def _check_vocabularies(trained_digests, dataset, data_dir):
+    """Refuse a dataset whose vocabularies are not, entry for entry and in
+    order, the ones the checkpoint was trained with."""
+    for kind, digest in _vocab_digests(dataset).items():
+        if digest != trained_digests[kind]:
+            raise InvalidArgumentError(
+                f"{data_dir}: the {kind} vocabulary ({kind}_vocab.txt) holds other "
+                f"entries or another order than the model was trained with")
+
+
 def cmd_train(args):
     out = _out_dir(args, "train")
     os.makedirs(out, exist_ok=True)
@@ -154,6 +183,20 @@ def cmd_train(args):
         print(f"loaded {len(rows)} pretrained embedding rows")
     start_epoch = 0
     if args.resume:
+        # the epoch is derived from the step count, so it needs the batch size
+        # the checkpoint was trained with
+        manifest_path, manifest = _read_manifest(args.resume)
+        _check_vocabularies(_trained_digests(manifest_path, manifest), train_set, args.data)
+        trained_config = manifest.get("train_config")
+        trained_batch = (trained_config.get("batch_size")
+                         if isinstance(trained_config, dict) else None)
+        if type(trained_batch) is not int:
+            raise data.FormatError(f"{manifest_path}: no integer \"train_config\" "
+                                   f"\"batch_size\" entry")
+        if trained_batch != config.batch_size:
+            raise InvalidArgumentError(
+                f"checkpoint {args.resume} was trained with batch size {trained_batch}, "
+                f"not {config.batch_size}")
         training.restore_checkpoint(vqa_model.store, args.resume)
         steps_per_epoch = -(-train_set.size() // config.batch_size)
         if vqa_model.store.step % steps_per_epoch:
@@ -189,22 +232,12 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    manifest_path = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)),
-                                 "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise data.FormatError(f"no manifest.json next to checkpoint {args.checkpoint}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest_path, manifest = _read_manifest(args.checkpoint)
     try:
         model_config = ModelConfig(**manifest["model"])
     except (KeyError, TypeError, InvalidArgumentError) as err:
         raise data.FormatError(f"{manifest_path}: bad \"model\" entry: {err!r}") from None
-    trained_digests = manifest.get("vocab_sha256")
-    if (not isinstance(trained_digests, dict)
-            or sorted(trained_digests) != ["answer", "question"]
-            or not all(isinstance(d, str) for d in trained_digests.values())):
-        raise data.FormatError(f"{manifest_path}: no \"vocab_sha256\" entry with the "
-                               f"question and answer vocabulary digests")
+    trained_digests = _trained_digests(manifest_path, manifest)
     # every value is restored from the checkpoint, so the seed is irrelevant
     vqa_model = VqaModel(model_config)
     training.restore_checkpoint(vqa_model.store, args.checkpoint)
@@ -217,11 +250,7 @@ def cmd_eval(args):
             f"{args.data}: question and answer vocabularies have {found[0]} and "
             f"{found[1]} entries; the model was trained with {expected[0]} and "
             f"{expected[1]}")
-    for kind, digest in _vocab_digests(dataset).items():
-        if digest != trained_digests[kind]:
-            raise InvalidArgumentError(
-                f"{args.data}: the {kind} vocabulary ({kind}_vocab.txt) holds other "
-                f"entries or another order than the model was trained with")
+    _check_vocabularies(trained_digests, dataset, args.data)
     taxonomy = metrics.Taxonomy.load(args.taxonomy) if args.taxonomy else None
     report = metrics.evaluate(vqa_model, dataset, taxonomy=taxonomy)
     sys.stdout.write(report.to_text())

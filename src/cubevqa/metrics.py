@@ -198,6 +198,23 @@ def question_type(tokens):
     return tokens[1] if len(tokens) > 1 else tokens[0]
 
 
+def predict_answers(vqa_model, dataset):
+    """The model's answer id for every example, in example order.
+
+    The examples are scored ``EVAL_BATCH`` at a time in a stable order of
+    region count, so a batch pads few rows: every padded row would be
+    computed and then masked.
+    """
+    counts = np.array([features.shape[0] for features in dataset.features])
+    order = np.argsort(counts, kind="stable")
+    best = np.empty(order.size, dtype=np.int64)
+    for start in range(0, order.size, EVAL_BATCH):
+        chosen = order[start:start + EVAL_BATCH]
+        (batch,) = dataset.gather(chosen)
+        best[chosen] = np.argmax(vqa_model.predict_batch(batch), axis=-1)
+    return best
+
+
 def evaluate(vqa_model, dataset, taxonomy=None):
     """Run the model over a prepared dataset and aggregate all metrics.
 
@@ -208,11 +225,8 @@ def evaluate(vqa_model, dataset, taxonomy=None):
     n = dataset.size()
     if n == 0:
         raise InvalidArgumentError("evaluate: dataset is empty")
-    preds = []
-    for start in range(0, n, EVAL_BATCH):
-        (batch,) = dataset.gather(range(start, min(start + EVAL_BATCH, n)))
-        best = np.argmax(vqa_model.predict_batch(batch), axis=-1)
-        preds.extend(dataset.answer_vocab[int(answer)] for answer in best)
+    preds = [dataset.answer_vocab[int(answer)]
+             for answer in predict_answers(vqa_model, dataset)]
     scores_per_example = []
     per_type = {}
     for i, ex in enumerate(dataset.examples):

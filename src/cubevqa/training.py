@@ -73,15 +73,21 @@ class Param:
     v: np.ndarray
 
 
+# elements per Adam pass: the chunk's slices of the five vectors stay in
+# cache across the dozen ufunc passes, and a desk-scale arena is one chunk
+_ADAM_CHUNK = 1 << 16
+
+
 class ParameterStore:
     """Named trainable tensors over one flat arena.
 
     The store keeps four contiguous float64 vectors (values, gradients, first
     and second Adam moments), allocated once from the complete ordered
-    mapping of initial values. Each ``Param``'s arrays are views into them
-    and are never rebound, so leaf tensors, checkpoint restores and in-place
-    probes that hold a reference keep seeing the live parameter, and the
-    optimizer updates every parameter in a few ufunc passes over the arena.
+    mapping of initial values, and the optimizer's one-chunk scratch. Each
+    ``Param``'s arrays are views into them and are never rebound, so leaf
+    tensors, checkpoint restores and in-place probes that hold a reference
+    keep seeing the live parameter, and the optimizer updates every parameter
+    in a few ufunc passes over the arena.
     """
 
     def __init__(self, initial_values):
@@ -92,6 +98,9 @@ class ParameterStore:
         self.flat_grad = np.zeros(total)
         self.flat_m = np.zeros(total)
         self.flat_v = np.zeros(total)
+        # allocated with the arena: a fresh one per step would be mapped and
+        # unmapped every step, being above the allocator's mmap threshold
+        self.adam_scratch = np.empty(min(total, _ADAM_CHUNK))
         self._params = {}
         self._spans = {}
         offset = 0
@@ -148,11 +157,6 @@ def clip_gradients(store, max_norm):
     return norm
 
 
-# elements per Adam pass: the chunk's slices of the five vectors stay in
-# cache across the dozen ufunc passes, and a desk-scale arena is one chunk
-_ADAM_CHUNK = 1 << 16
-
-
 def adam_step(store, config):
     """One Adam update with bias correction; zeroes gradients afterwards.
 
@@ -168,12 +172,10 @@ def adam_step(store, config):
     b1, b2 = config.beta1, config.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    total = store.flat_grad.size
-    scratch = np.empty(min(total, _ADAM_CHUNK))
-    for start in range(0, total, _ADAM_CHUNK):
+    for start in range(0, store.flat_grad.size, _ADAM_CHUNK):
         span = slice(start, start + _ADAM_CHUNK)
         g, m, v = store.flat_grad[span], store.flat_m[span], store.flat_v[span]
-        s = scratch[:g.size]
+        s = store.adam_scratch[:g.size]
         np.multiply(g, 1.0 - b1, out=s)
         m *= b1
         m += s

@@ -309,6 +309,58 @@ def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_
         assert "format error" in capsys.readouterr().err
 
 
+def resume(trained_run, data_dir, out, *flags):
+    """``train --resume`` of ``trained_run``'s checkpoint for a third epoch."""
+    flags = list(flags) or TRAIN_FLAGS
+    return run(["train", "--variant", "cva", "--data", data_dir, "--out", out,
+                "--resume", os.path.join(trained_run, "checkpoint.cvac")]
+               + flags + ["--epochs", "3"])
+
+
+def test_train_resume_refuses_other_vocabulary(trained_run, tiny_dataset, tmp_path,
+                                               capsys):
+    swapped = str(tmp_path / "swapped")
+    shutil.copytree(tiny_dataset, swapped)
+    path = os.path.join(swapped, "answer_vocab.txt")
+    lines = open(path).read().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    open(path, "w").write("".join(lines))
+    capsys.readouterr()
+    out = str(tmp_path / "resumed")
+    assert resume(trained_run, swapped, out) == 3
+    err = capsys.readouterr().err
+    assert "answer vocabulary" in err and "answer_vocab.txt" in err
+    assert not os.path.exists(os.path.join(out, "checkpoint.cvac"))
+    # the untouched data resumes
+    assert resume(trained_run, tiny_dataset, out) == 0
+
+
+def test_train_resume_refuses_other_batch_size(trained_run, tiny_dataset, tmp_path,
+                                               capsys):
+    out = str(tmp_path / "resumed")
+    flags = [f if f != "8" else "4" for f in TRAIN_FLAGS]
+    assert flags != TRAIN_FLAGS
+    capsys.readouterr()
+    assert resume(trained_run, tiny_dataset, out, *flags) == 3
+    assert "batch size 8, not 4" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "checkpoint.cvac"))
+
+
+def test_train_resume_without_manifest_is_format_error(trained_run, tiny_dataset,
+                                                       tmp_path, capsys):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    shutil.copy(os.path.join(trained_run, "checkpoint.cvac"), str(bare))
+    capsys.readouterr()
+    assert resume(str(bare), tiny_dataset, str(tmp_path / "resumed")) == 2
+    assert "no manifest.json" in capsys.readouterr().err
+    manifest = json.load(open(os.path.join(trained_run, "manifest.json")))
+    del manifest["train_config"]["batch_size"]
+    (bare / "manifest.json").write_text(json.dumps(manifest))
+    assert resume(str(bare), tiny_dataset, str(tmp_path / "resumed")) == 2
+    assert "batch_size" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,value", [
     ("feat_dim", 8.5), ("hidden_dim", True), ("max_question_len", "26"), ("variant", 5),
     ("channel_gain_strength", "x"), ("tanh_after_sum", "no"),

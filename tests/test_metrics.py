@@ -232,6 +232,36 @@ def test_evaluate_deterministic():
     assert a.per_type == b.per_type
 
 
+def test_evaluate_batches_by_region_count_and_keeps_example_order(monkeypatch):
+    # images of 2 to 6 regions, shuffled together; more than one batch
+    container, examples = data.FeatureContainer(), []
+    for k in range(2, 7):
+        bundle = data.generate_toy_dataset("mixed", 30, k, 16, seed=6, split=f"k{k}")
+        for image_id, features in bundle.container.records.items():
+            container.add(image_id, features)
+        examples.extend(bundle.examples)
+    examples = [examples[i] for i in np.random.default_rng(7).permutation(len(examples))]
+    question_vocab, answer_vocab = data.build_vocab(examples)
+    data.assign_labels(examples, answer_vocab)
+    prepared = data.prepare_dataset(container, examples, question_vocab, answer_vocab)
+    config = ModelConfig.from_profile("desk", variant="cva", num_answers=len(answer_vocab),
+                                      vocab_size=len(question_vocab), feat_dim=16)
+    model = VqaModel(config, seed=8)
+    one_at_a_time = [int(np.argmax(model.predict_batch(prepared.gather([i])[0])))
+                     for i in range(prepared.size())]
+
+    counts = []
+    predict_batch = model.predict_batch
+    monkeypatch.setattr(model, "predict_batch", lambda batch: (
+        counts.extend(batch.region_counts), predict_batch(batch))[1])
+    assert metrics.predict_answers(model, prepared).tolist() == one_at_a_time
+    assert prepared.size() > metrics.EVAL_BATCH and counts == sorted(counts)
+    report = evaluate(model, prepared)
+    expected = np.mean([metrics.vqa_accuracy(answer_vocab[p], ex.human_answers)
+                        for p, ex in zip(one_at_a_time, examples)])
+    assert report.accuracy == pytest.approx(expected, abs=1e-12)
+
+
 def test_evaluate_without_taxonomy_notes_omission():
     model, prepared, _ = desk_model_and_data(size=30, seed=5)
     report = evaluate(model, prepared)
