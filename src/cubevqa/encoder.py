@@ -64,13 +64,13 @@ def validate_tokens(token_ids, vocab_size, max_len):
 
 
 def project_inputs(tape, params, token_ids):
-    """Every step's input projection ``W x_t + b`` of a ``(B, T)`` id batch.
+    """Every step's input projection ``W x_t + b`` of a ``(B, T)`` id array.
 
     Returns the step-major ``(T, B, 3H)`` node ``tensor.gru`` reads. It
     depends on the tokens alone, not on the state, so one embedding lookup and
     one matmul over all ``B * T`` tokens compute it ahead of the recurrence.
     """
-    return T.affine(tape, T.embedding_lookup(tape, params.embed, np.asarray(token_ids).T),
+    return T.affine(tape, T.embedding_lookup(tape, params.embed, token_ids.T),
                     params.w_input, params.b_input)
 
 
