@@ -12,7 +12,10 @@ condition on a question encoding ``Q`` of shape ``(B, H)``:
   (equivariant to region order).
 
 Four pipelines compose them: channel-then-spatial stacking, the reversed
-stacking, and the two single-attention ablations.
+stacking, and the two single-attention ablations; the three with a channel
+stage share ``_channel_stage``. Each returns ``(attended, beta, eta)``, the
+``(B, D)`` attended vector and the two distributions, ``None`` for a stage
+it lacks.
 
 Examples in a batch may have different region counts. The map is then
 zero-padded to the largest count, and every function that reads the region
@@ -23,12 +26,9 @@ A map and its mask always travel together; with all counts equal to K every
 result is bit for bit the unpadded one.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 
 
 class RegionMask:
@@ -46,41 +46,6 @@ class RegionMask:
         self.inverse = 1.0 / counts
 
 
-@dataclass
-class ChannelAttentionParams:
-    """Parameters of the channel scorer.
-
-    ``vis_scale``/``vis_shift`` embed the channel-mean vector elementwise
-    (both length D); ``w_question``/``b_question`` project the question into
-    the attention space (h_a x H and h_a); ``w_score`` (h_a) and the scalar
-    ``b_score`` reduce each channel's row of the joint map to one score.
-    """
-
-    vis_scale: Tensor
-    vis_shift: Tensor
-    w_question: Tensor
-    b_question: Tensor
-    w_score: Tensor
-    b_score: Tensor
-
-
-@dataclass
-class SpatialAttentionParams:
-    """Parameters of the region scorer.
-
-    ``w_visual`` (h_a x D) and ``b_visual`` embed each region vector;
-    ``w_question``/``b_question`` embed the question; ``w_score`` (h_a) and
-    scalar ``b_score`` reduce each region's joint vector to one score.
-    """
-
-    w_visual: Tensor
-    b_visual: Tensor
-    w_question: Tensor
-    b_question: Tensor
-    w_score: Tensor
-    b_score: Tensor
-
-
 def channel_mean_pool(tape, feature_map, mask):
     """Per-channel mean over each example's regions: ``(B, K, D) -> (B, D)``."""
     return T.mean_over_rows(tape, feature_map, mask.counts)
@@ -95,6 +60,12 @@ def channel_attention(tape, channel_means, question, params):
     reduced to a scalar score with ``w_score``. ``tensor.channel_scores``
     computes the scores tile by tile, so the joint map is defined but never
     materialized. Softmax over the D scores yields the channel weights.
+
+    ``params`` holds ``vis_scale`` and ``vis_shift`` (both D), which embed the
+    channel-mean vector elementwise; ``w_question`` (h_a x H) and
+    ``b_question`` (h_a), which project the question into the attention
+    space; and ``w_score`` (h_a) with the scalar ``b_score``, which reduce
+    each channel's row of the joint map to one score.
     """
     vis = T.add_vec(tape, T.mul_vec(tape, channel_means, params.vis_scale),
                     params.vis_shift)
@@ -157,6 +128,11 @@ def spatial_attention(tape, feature_map, mask, question, params,
 
     which lets the question reorder the region scores; trained models default
     to this form (see ``model.ModelConfig``).
+
+    ``params`` holds ``w_visual`` (h_a x D) and ``b_visual`` (h_a), which
+    embed each region vector; ``w_question`` (h_a x H) and ``b_question``,
+    which embed the question; and ``w_score`` (h_a) with the scalar
+    ``b_score``, which reduce each region's joint vector to one score.
     """
     vis = T.affine(tape, feature_map, params.w_visual, params.b_visual)
     query = T.affine(tape, question, params.w_question, params.b_question)
@@ -180,27 +156,24 @@ def apply_spatial_weights(tape, spatial_weights, feature_map, mask):
     return T.weighted_row_sum(tape, feature_map, spatial_weights, mask.inverse)
 
 
-@dataclass
-class AttentionReadout:
-    """Attention distributions captured during a pipeline forward pass."""
-
-    channel_weights: Tensor = None
-    spatial_weights: Tensor = None
+def _channel_stage(tape, feature_map, mask, question, params, rescale, strength):
+    """Channel weights ``beta`` ``(B, D)`` from the map's region means, and
+    the map modulated by their gains."""
+    beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
+                             question, params)
+    gains = _channel_gains(tape, beta, rescale, strength)
+    return beta, apply_channel_weights(tape, gains, feature_map)
 
 
 def cva_forward(tape, feature_map, mask, question, channel_params, spatial_params,
                 tanh_after_sum=False, rescale_channel_gains=True,
                 gain_strength=DEFAULT_GAIN_STRENGTH):
     """Channel attention first, then spatial attention on the modulated map."""
-    beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
-                             question, channel_params)
-    modulated = apply_channel_weights(
-        tape, _channel_gains(tape, beta, rescale_channel_gains, gain_strength),
-        feature_map)
+    beta, modulated = _channel_stage(tape, feature_map, mask, question, channel_params,
+                                     rescale_channel_gains, gain_strength)
     eta = spatial_attention(tape, modulated, mask, question, spatial_params,
                             tanh_after_sum=tanh_after_sum)
-    attended = apply_spatial_weights(tape, eta, modulated, mask)
-    return attended, AttentionReadout(channel_weights=beta, spatial_weights=eta)
+    return apply_spatial_weights(tape, eta, modulated, mask), beta, eta
 
 
 def cva_v_forward(tape, feature_map, mask, question, channel_params, spatial_params,
@@ -214,26 +187,18 @@ def cva_v_forward(tape, feature_map, mask, question, channel_params, spatial_par
     """
     eta = spatial_attention(tape, feature_map, mask, question, spatial_params,
                             tanh_after_sum=tanh_after_sum)
-    reweighted = T.scale_rows(tape, feature_map, eta)
-    beta = channel_attention(tape, channel_mean_pool(tape, reweighted, mask),
-                             question, channel_params)
-    modulated = apply_channel_weights(
-        tape, _channel_gains(tape, beta, rescale_channel_gains, gain_strength),
-        reweighted)
-    attended = channel_mean_pool(tape, modulated, mask)
-    return attended, AttentionReadout(channel_weights=beta, spatial_weights=eta)
+    beta, modulated = _channel_stage(tape, T.scale_rows(tape, feature_map, eta), mask,
+                                     question, channel_params, rescale_channel_gains,
+                                     gain_strength)
+    return channel_mean_pool(tape, modulated, mask), beta, eta
 
 
 def ca_only_forward(tape, feature_map, mask, question, channel_params,
                     rescale_channel_gains=True, gain_strength=DEFAULT_GAIN_STRENGTH):
     """Channel attention only; regions are aggregated by the plain mean."""
-    beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
-                             question, channel_params)
-    modulated = apply_channel_weights(
-        tape, _channel_gains(tape, beta, rescale_channel_gains, gain_strength),
-        feature_map)
-    attended = channel_mean_pool(tape, modulated, mask)
-    return attended, AttentionReadout(channel_weights=beta)
+    beta, modulated = _channel_stage(tape, feature_map, mask, question, channel_params,
+                                     rescale_channel_gains, gain_strength)
+    return channel_mean_pool(tape, modulated, mask), beta, None
 
 
 def ra_only_forward(tape, feature_map, mask, question, spatial_params,
@@ -241,5 +206,4 @@ def ra_only_forward(tape, feature_map, mask, question, spatial_params,
     """Region attention only, computed and applied on the raw map."""
     eta = spatial_attention(tape, feature_map, mask, question, spatial_params,
                             tanh_after_sum=tanh_after_sum)
-    attended = apply_spatial_weights(tape, eta, feature_map, mask)
-    return attended, AttentionReadout(spatial_weights=eta)
+    return apply_spatial_weights(tape, eta, feature_map, mask), None, eta

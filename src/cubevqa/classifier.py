@@ -6,33 +6,17 @@ cross-entropy of the true answer under those scores, computed in fused
 log-sum-exp form so that large vocabularies cannot overflow.
 """
 
-from dataclasses import dataclass
-
 from . import tensor as T
-from .tensor import Tensor
-
-
-@dataclass
-class ClassifierParams:
-    """Fusion and output parameters.
-
-    ``w_visual`` (H_f x D) and ``w_question`` (H_f x H) project the two
-    inputs, ``b_hidden`` (H_f) biases the fused hidden layer, and
-    ``w_out`` (A x H_f) with ``b_out`` (A) produce answer scores.
-    """
-
-    w_visual: Tensor
-    w_question: Tensor
-    b_hidden: Tensor
-    w_out: Tensor
-    b_out: Tensor
 
 
 def answer_scores(tape, visual, question, params, dropout_mask=None):
     """Pre-softmax answer scores; ``dropout_mask`` gates the hidden layer.
 
     ``dropout_mask`` is an already-scaled keep mask (inverted dropout) and is
-    only supplied in training mode.
+    only supplied in training mode. ``params`` holds ``w_visual`` (H_f x D)
+    and ``w_question`` (H_f x H), which project the two inputs; ``b_hidden``
+    (H_f), which biases the fused hidden layer; and ``w_out`` (A x H_f) with
+    ``b_out`` (A), which produce the answer scores.
     """
     hidden = T.tanh(tape, T.add(tape,
                                 T.affine(tape, visual, params.w_visual),

@@ -135,22 +135,28 @@ def _vocab_digests(dataset):
 
 
 def _read_manifest(checkpoint):
-    """``(path, contents)`` of the ``manifest.json`` beside ``checkpoint``."""
+    """What the ``manifest.json`` beside ``checkpoint`` records of its training:
+    ``(model_config, vocabulary digests, batch size)``."""
     path = os.path.join(os.path.dirname(os.path.abspath(checkpoint)), "manifest.json")
     if not os.path.exists(path):
         raise data.FormatError(f"no manifest.json next to checkpoint {checkpoint}")
     with open(path, "r", encoding="utf-8") as fh:
-        return path, json.load(fh)
-
-
-def _trained_digests(manifest_path, manifest):
-    """The vocabulary digests a manifest records for its checkpoint."""
-    digests = manifest.get("vocab_sha256") if isinstance(manifest, dict) else None
+        manifest = json.load(fh)
+    try:
+        model_config = ModelConfig(**manifest["model"])
+    except (KeyError, TypeError, InvalidArgumentError) as err:
+        raise data.FormatError(f"{path}: bad \"model\" entry: {err!r}") from None
+    digests = manifest.get("vocab_sha256")
     if (not isinstance(digests, dict) or sorted(digests) != ["answer", "question"]
             or not all(isinstance(d, str) for d in digests.values())):
-        raise data.FormatError(f"{manifest_path}: no \"vocab_sha256\" entry with the "
+        raise data.FormatError(f"{path}: no \"vocab_sha256\" entry with the "
                                f"question and answer vocabulary digests")
-    return digests
+    trained_config = manifest.get("train_config")
+    batch_size = (trained_config.get("batch_size")
+                  if isinstance(trained_config, dict) else None)
+    if type(batch_size) is not int:
+        raise data.FormatError(f"{path}: no integer \"train_config\" \"batch_size\" entry")
+    return model_config, digests, batch_size
 
 
 def _check_vocabularies(trained_digests, dataset, data_dir):
@@ -183,16 +189,15 @@ def cmd_train(args):
         print(f"loaded {len(rows)} pretrained embedding rows")
     start_epoch = 0
     if args.resume:
+        trained_model, trained_digests, trained_batch = _read_manifest(args.resume)
+        changed = [f"{name}={value!r}" for name, value in trained_model.to_dict().items()
+                   if value != getattr(model_config, name)]
+        if changed:
+            raise InvalidArgumentError(f"checkpoint {args.resume} was trained as another "
+                                       f"model: {', '.join(changed)}")
+        _check_vocabularies(trained_digests, train_set, args.data)
         # the epoch is derived from the step count, so it needs the batch size
         # the checkpoint was trained with
-        manifest_path, manifest = _read_manifest(args.resume)
-        _check_vocabularies(_trained_digests(manifest_path, manifest), train_set, args.data)
-        trained_config = manifest.get("train_config")
-        trained_batch = (trained_config.get("batch_size")
-                         if isinstance(trained_config, dict) else None)
-        if type(trained_batch) is not int:
-            raise data.FormatError(f"{manifest_path}: no integer \"train_config\" "
-                                   f"\"batch_size\" entry")
         if trained_batch != config.batch_size:
             raise InvalidArgumentError(
                 f"checkpoint {args.resume} was trained with batch size {trained_batch}, "
@@ -232,12 +237,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    manifest_path, manifest = _read_manifest(args.checkpoint)
-    try:
-        model_config = ModelConfig(**manifest["model"])
-    except (KeyError, TypeError, InvalidArgumentError) as err:
-        raise data.FormatError(f"{manifest_path}: bad \"model\" entry: {err!r}") from None
-    trained_digests = _trained_digests(manifest_path, manifest)
+    model_config, trained_digests, _ = _read_manifest(args.checkpoint)
     # every value is restored from the checkpoint, so the seed is irrelevant
     vqa_model = VqaModel(model_config)
     training.restore_checkpoint(vqa_model.store, args.checkpoint)
@@ -312,6 +312,8 @@ def cmd_ablate(args):
     datasets = {}
     for data_dir in args.data:
         name = os.path.basename(os.path.normpath(data_dir))
+        if name in datasets:
+            raise UsageError(f"two --data directories have the basename {name!r}")
         datasets[name] = tuple(_load_prepared(data_dir))
     results = run_ablation(datasets, config, args.seeds,
                            literal_spatial=args.literal_spatial, log=print)

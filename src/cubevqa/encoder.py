@@ -21,30 +21,10 @@ adds the three per-gate products ``U h`` at each step, is one
 ``tensor.gru`` node over all steps.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .tensor import InvalidArgumentError, Tensor, VocabularyError
-
-
-@dataclass
-class EncoderParams:
-    """Embedding table, stacked input projection and per-gate recurrent weights.
-
-    ``embed`` is (vocab, E). ``w_input`` (3H, E) and ``b_input`` (3H,) hold
-    the input weights ``W_z, W_r, W_h`` and biases ``b_z, b_r, b_h`` of the
-    update, reset and candidate gates as consecutive row blocks; ``u_update``,
-    ``u_reset`` and ``u_cand`` are the (H, H) recurrent weights.
-    """
-
-    embed: Tensor
-    w_input: Tensor
-    b_input: Tensor
-    u_update: Tensor
-    u_reset: Tensor
-    u_cand: Tensor
+from .tensor import InvalidArgumentError, VocabularyError
 
 
 def validate_tokens(token_ids, vocab_size, max_len):
@@ -84,6 +64,12 @@ def encode_questions_batch(tape, params, token_ids, lengths):
     final state and padding never influences it. One question is a batch of
     one. Records 3 tape nodes: the embedding lookup, the input projection of
     every step and the whole recurrence.
+
+    ``params`` holds the embedding table ``embed`` (vocab x E); the stacked
+    input projection ``w_input`` (3H x E) and ``b_input`` (3H), whose
+    consecutive row blocks are the input weights ``W_z, W_r, W_h`` and biases
+    ``b_z, b_r, b_h`` of the update, reset and candidate gates; and the
+    (H x H) recurrent weights ``u_update``, ``u_reset`` and ``u_cand``.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)

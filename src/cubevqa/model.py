@@ -21,6 +21,7 @@ there on.
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,6 +147,12 @@ class VqaModel:
     def __init__(self, config, seed=0):
         self.config = config
         self.store = ParameterStore(self._initial_values(seed))
+        # each group's (attribute, leaf name) pairs, split from the names once
+        names = list(self.leaves())
+        self._group_names = tuple(
+            tuple((name.partition(".")[2], name) for name in names
+                  if name.partition(".")[0] == group)
+            for group in STAGE_OF_GROUP)
 
     # -- construction -------------------------------------------------------
 
@@ -206,26 +213,11 @@ class VqaModel:
         return leaves
 
     def _groups(self, leaves):
-        enc = encoder.EncoderParams(
-            embed=leaves["enc.embed"], w_input=leaves["enc.w_input"],
-            b_input=leaves["enc.b_input"], u_update=leaves["enc.u_update"],
-            u_reset=leaves["enc.u_reset"], u_cand=leaves["enc.u_cand"])
-        chan = spat = None
-        if "chan.vis_scale" in self.store:
-            chan = attention.ChannelAttentionParams(
-                vis_scale=leaves["chan.vis_scale"], vis_shift=leaves["chan.vis_shift"],
-                w_question=leaves["chan.w_question"], b_question=leaves["chan.b_question"],
-                w_score=leaves["chan.w_score"], b_score=leaves["chan.b_score"])
-        if "spat.w_visual" in self.store:
-            spat = attention.SpatialAttentionParams(
-                w_visual=leaves["spat.w_visual"], b_visual=leaves["spat.b_visual"],
-                w_question=leaves["spat.w_question"], b_question=leaves["spat.b_question"],
-                w_score=leaves["spat.w_score"], b_score=leaves["spat.b_score"])
-        clf = classifier.ClassifierParams(
-            w_visual=leaves["clf.w_visual"], w_question=leaves["clf.w_question"],
-            b_hidden=leaves["clf.b_hidden"], w_out=leaves["clf.w_out"],
-            b_out=leaves["clf.b_out"])
-        return enc, chan, spat, clf
+        """One namespace of leaves per group in ``STAGE_OF_GROUP`` order, or
+        ``None`` for a group the variant lacks; an attribute is its leaf name's
+        suffix (``leaves["chan.w_score"]`` is ``chan.w_score``)."""
+        return tuple(SimpleNamespace(**{attr: leaves[name] for attr, name in names})
+                     if names else None for names in self._group_names)
 
     # -- forward passes -----------------------------------------------------
 
@@ -251,20 +243,20 @@ class VqaModel:
         enc, chan, spat, clf = self._groups(leaves)
         question = encoder.encode_questions_batch(tape, enc, batch.token_ids,
                                                   batch.lengths)
-        attended, readout = self._attend(tape, batch, question, chan, spat)
+        attended, beta, eta = self._attend(tape, batch, question, chan, spat)
         mask = None
         if dropout_rate > 0.0 and dropout_rng is not None:
             mask = T.constant(dropout_mask((batch.labels.size, self.config.fuse_dim),
                                            dropout_rate, dropout_rng))
         scores = classifier.answer_scores(tape, attended, question, clf,
                                           dropout_mask=mask)
-        return scores, readout
+        return scores, beta, eta
 
     def batch_loss(self, tape, batch, leaves, dropout_rate=0.0, dropout_rng=None):
         """Mean cross-entropy over one padded batch; returns ``(loss, scores)``
         with a scalar loss node and the ``(B, A)`` scores. Each example
         attends over its own ``region_counts`` rows only."""
-        scores, _ = self._forward_batch(tape, batch, leaves, dropout_rate, dropout_rng)
+        scores = self._forward_batch(tape, batch, leaves, dropout_rate, dropout_rng)[0]
         return self._loss(tape, batch, scores), scores
 
     def stage_probes(self, batch, leaves):
@@ -286,7 +278,7 @@ class VqaModel:
         enc, chan, spat, clf = self._groups(leaves)
         question = encoder.encode_questions_batch(None, enc, batch.token_ids,
                                                   batch.lengths)
-        attended, _ = self._attend(None, batch, question, chan, spat)
+        attended = self._attend(None, batch, question, chan, spat)[0]
 
         def score(attended_now):
             scores = classifier.answer_scores(None, attended_now, question, clf)
@@ -314,8 +306,7 @@ class VqaModel:
 
     def predict_batch(self, batch):
         """Evaluation-mode scores ``(B, A)``; dropout off, nothing recorded."""
-        scores, _ = self._forward_batch(None, batch, self.leaves())
-        return scores.value
+        return self._forward_batch(None, batch, self.leaves())[0].value
 
     def _single(self, features, token_ids, label=0):
         """One (K, D) map and question as a batch of one, tokens validated."""
@@ -330,12 +321,9 @@ class VqaModel:
         batch = self._single(features, token_ids, int(label))
         return self.batch_loss(tape, batch, leaves or self.leaves())[0]
 
-    def attention_readout(self, features, token_ids):
-        """Evaluation-mode attention distributions for one instance: channel
-        weights ``(D,)`` and region weights ``(K,)``, ``None`` for a stage the
+    def attention_readout(self, batch):
+        """Evaluation-mode attention distributions of a batch: channel weights
+        ``(B, D)`` and region weights ``(B, K)``, ``None`` for a stage the
         variant lacks."""
-        _, readout = self._forward_batch(None, self._single(features, token_ids),
-                                         self.leaves())
-        return attention.AttentionReadout(*(
-            None if w is None else Tensor(w.value[0])
-            for w in (readout.channel_weights, readout.spatial_weights)))
+        _, beta, eta = self._forward_batch(None, batch, self.leaves())
+        return tuple(None if w is None else w.value for w in (beta, eta))

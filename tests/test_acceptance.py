@@ -9,6 +9,7 @@ desk-scale models and dominates the runtime; run this module alone with
 
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,12 +60,12 @@ def random_attention_setup(rng, k, d, h_a, hidden):
     def t(shape, lim=1.0):
         return Tensor(rng.uniform(-lim, lim, shape))
 
-    chan = A.ChannelAttentionParams(vis_scale=t(d), vis_shift=t(d),
-                                    w_question=t((h_a, hidden)), b_question=t(h_a),
-                                    w_score=t(h_a), b_score=t(()))
-    spat = A.SpatialAttentionParams(w_visual=t((h_a, d)), b_visual=t(h_a),
-                                    w_question=t((h_a, hidden)), b_question=t(h_a),
-                                    w_score=t(h_a), b_score=t(()))
+    chan = SimpleNamespace(vis_scale=t(d), vis_shift=t(d),
+                           w_question=t((h_a, hidden)), b_question=t(h_a),
+                           w_score=t(h_a), b_score=t(()))
+    spat = SimpleNamespace(w_visual=t((h_a, d)), b_visual=t(h_a),
+                           w_question=t((h_a, hidden)), b_question=t(h_a),
+                           w_score=t(h_a), b_score=t(()))
     # one map and question as a batch of one, every row a region
     v = Tensor(rng.uniform(-3, 3, (1, k, d)))
     q = Tensor(rng.uniform(-3, 3, (1, hidden)))
@@ -81,8 +82,8 @@ def test_criterion_2_attention_invariants(capsys):
     all_positive = True
     for _ in range(1000):
         chan, spat, v, q, mask = random_attention_setup(rng, k, d, h_a, hidden)
-        out, ro = A.cva_forward(None, v, mask, q, chan, spat, tanh_after_sum=True)
-        beta, eta = ro.channel_weights.value, ro.spatial_weights.value
+        out, beta, eta = A.cva_forward(None, v, mask, q, chan, spat, tanh_after_sum=True)
+        beta, eta = beta.value, eta.value
         worst_sum = max(worst_sum, abs(beta.sum() - 1), abs(eta.sum() - 1))
         all_positive = all_positive and np.all(beta > 0) and np.all(eta > 0)
         perm = rng.permutation(k)
@@ -95,8 +96,8 @@ def test_criterion_2_attention_invariants(capsys):
         raw_eta = A.spatial_attention(None, v, mask, q, spat, tanh_after_sum=True).value
         worst_equivariance = max(worst_equivariance,
                                  np.max(np.abs(eta_perm - raw_eta[:, perm])))
-        out_perm, _ = A.cva_forward(None, v_perm, mask, q, chan, spat,
-                                    tanh_after_sum=True)
+        out_perm, _, _ = A.cva_forward(None, v_perm, mask, q, chan, spat,
+                                       tanh_after_sum=True)
         worst_cva_drift = max(worst_cva_drift,
                               np.max(np.abs(out_perm.value - out.value)))
     with capsys.disabled():
@@ -145,22 +146,22 @@ def test_criterion_4_forward_oracle_equivalence(capsys):
         cl, sl = channel_params_as_lists(chan), spatial_params_as_lists(spat)
         for tanh_after_sum in (False, True):
             for rescale in (False, True):
-                out, _ = A.cva_forward(None, v, mask, q, chan, spat,
-                                       tanh_after_sum=tanh_after_sum,
-                                       rescale_channel_gains=rescale)
+                out, _, _ = A.cva_forward(None, v, mask, q, chan, spat,
+                                          tanh_after_sum=tanh_after_sum,
+                                          rescale_channel_gains=rescale)
                 exp, _, _ = naive_cva(vl, ql, cl, sl, tanh_after_sum, rescale)
                 worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
-                out, _ = A.cva_v_forward(None, v, mask, q, chan, spat,
-                                         tanh_after_sum=tanh_after_sum,
-                                         rescale_channel_gains=rescale)
+                out, _, _ = A.cva_v_forward(None, v, mask, q, chan, spat,
+                                            tanh_after_sum=tanh_after_sum,
+                                            rescale_channel_gains=rescale)
                 exp, _, _ = naive_cva_v(vl, ql, cl, sl, tanh_after_sum, rescale)
                 worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
-                out, _ = A.ca_only_forward(None, v, mask, q, chan,
-                                           rescale_channel_gains=rescale)
+                out, _, _ = A.ca_only_forward(None, v, mask, q, chan,
+                                              rescale_channel_gains=rescale)
                 exp, _ = naive_ca_only(vl, ql, cl, rescale)
                 worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
-                out, _ = A.ra_only_forward(None, v, mask, q, spat,
-                                           tanh_after_sum=tanh_after_sum)
+                out, _, _ = A.ra_only_forward(None, v, mask, q, spat,
+                                              tanh_after_sum=tanh_after_sum)
                 exp, _ = naive_ra_only(vl, ql, sl, tanh_after_sum)
                 worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
     with capsys.disabled():
@@ -323,9 +324,9 @@ def test_criterion_8_full_scale_shapes(capsys):
         p = model.store[name]
         shapes_ok = shapes_ok and p.grad.shape == p.value.shape \
             and np.all(np.isfinite(p.grad))
-    readout = model.attention_readout(batch.features[0], batch.token_ids[0])
-    shapes_ok = shapes_ok and readout.channel_weights.value.shape == (2048,)
-    shapes_ok = shapes_ok and readout.spatial_weights.value.shape == (36,)
+    beta, eta = model.attention_readout(batch)
+    shapes_ok = shapes_ok and beta.shape == (1, 2048)
+    shapes_ok = shapes_ok and eta.shape == (1, 36)
     with capsys.disabled():
         report(8, "full-scale shape contract",
                np.isfinite(loss) and shapes_ok and elapsed <= 10.0,

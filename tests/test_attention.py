@@ -1,5 +1,7 @@
 """Channel/region attention: contracts, permutation properties, oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,7 +19,7 @@ def chan_params(d, h_a, hidden, seed=0, zero=False):
     def init(shape):
         return Tensor(np.zeros(shape) if zero else rng.uniform(-0.6, 0.6, shape))
 
-    return A.ChannelAttentionParams(
+    return SimpleNamespace(
         vis_scale=init((d,)), vis_shift=init((d,)),
         w_question=init((h_a, hidden)), b_question=init((h_a,)),
         w_score=init((h_a,)), b_score=init(()))
@@ -29,7 +31,7 @@ def spat_params(d, h_a, hidden, seed=0, zero=False):
     def init(shape):
         return Tensor(np.zeros(shape) if zero else rng.uniform(-0.6, 0.6, shape))
 
-    return A.SpatialAttentionParams(
+    return SimpleNamespace(
         w_visual=init((h_a, d)), b_visual=init((h_a,)),
         w_question=init((h_a, hidden)), b_question=init((h_a,)),
         w_score=init((h_a,)), b_score=init(()))
@@ -93,7 +95,7 @@ def test_channel_attention_permutes_with_channel_relabeling():
     q = Tensor(rng.standard_normal((1, hidden)))
     beta = A.channel_attention(None, Tensor(u_bar), q, params).value
     perm = rng.permutation(d)
-    permuted = A.ChannelAttentionParams(
+    permuted = SimpleNamespace(
         vis_scale=Tensor(params.vis_scale.value[perm]),
         vis_shift=Tensor(params.vis_shift.value[perm]),
         w_question=params.w_question, b_question=params.b_question,
@@ -228,13 +230,13 @@ def test_cva_zero_params_literal_prefactors():
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=24)
     mask = full_mask(1, k)
-    out, readout = A.cva_forward(None, v, mask, q, chan, spat,
-                                 rescale_channel_gains=False)
+    out, beta, eta = A.cva_forward(None, v, mask, q, chan, spat,
+                                   rescale_channel_gains=False)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / (k * d), atol=1e-14)
-    npt.assert_allclose(readout.channel_weights.value[0], np.full(d, 1 / d), atol=1e-15)
-    npt.assert_allclose(readout.spatial_weights.value[0], np.full(k, 1 / k), atol=1e-15)
+    npt.assert_allclose(beta.value[0], np.full(d, 1 / d), atol=1e-15)
+    npt.assert_allclose(eta.value[0], np.full(k, 1 / k), atol=1e-15)
     # mean-one gains: uniform channel attention passes the map through
-    out, _ = A.cva_forward(None, v, mask, q, chan, spat)
+    out, _, _ = A.cva_forward(None, v, mask, q, chan, spat)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
@@ -244,9 +246,9 @@ def test_cva_v_zero_params_literal_prefactors():
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=25)
     mask = full_mask(1, k)
-    out, _ = A.cva_v_forward(None, v, mask, q, chan, spat, rescale_channel_gains=False)
+    out, _, _ = A.cva_v_forward(None, v, mask, q, chan, spat, rescale_channel_gains=False)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / (k * d), atol=1e-14)
-    out, _ = A.cva_v_forward(None, v, mask, q, chan, spat)
+    out, _, _ = A.cva_v_forward(None, v, mask, q, chan, spat)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
@@ -255,9 +257,9 @@ def test_ca_only_zero_params_mean_over_d():
     chan = chan_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=26)
     mask = full_mask(1, k)
-    out, _ = A.ca_only_forward(None, v, mask, q, chan, rescale_channel_gains=False)
+    out, _, _ = A.ca_only_forward(None, v, mask, q, chan, rescale_channel_gains=False)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / d, atol=1e-14)
-    out, _ = A.ca_only_forward(None, v, mask, q, chan)
+    out, _, _ = A.ca_only_forward(None, v, mask, q, chan)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0), atol=1e-14)
 
 
@@ -265,7 +267,7 @@ def test_ra_only_zero_params_mean_over_k():
     k, d = 5, 8
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=27)
-    out, _ = A.ra_only_forward(None, v, full_mask(1, k), q, spat)
+    out, _, _ = A.ra_only_forward(None, v, full_mask(1, k), q, spat)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
@@ -276,7 +278,7 @@ def test_all_pipelines_output_length_d_for_any_k():
     for k in (1, 4, 36):
         v, q = random_instance(k=k, d=d, hidden=hidden, seed=29)
         mask = full_mask(1, k)
-        for out, _ in (A.cva_forward(None, v, mask, q, chan, spat),
+        for out, _, _ in (A.cva_forward(None, v, mask, q, chan, spat),
                        A.cva_v_forward(None, v, mask, q, chan, spat),
                        A.ca_only_forward(None, v, mask, q, chan),
                        A.ra_only_forward(None, v, mask, q, spat)):
@@ -288,8 +290,8 @@ def test_cva_v_single_region_trivial_spatial():
     chan = chan_params(d, 3, 5, seed=30)
     spat = spat_params(d, 3, 5, seed=30)
     v, q = random_instance(k=1, d=d, hidden=5, seed=31)
-    _, readout = A.cva_v_forward(None, v, full_mask(1, 1), q, chan, spat)
-    npt.assert_allclose(readout.spatial_weights.value[0], [1.0], atol=1e-15)
+    _, _, eta = A.cva_v_forward(None, v, full_mask(1, 1), q, chan, spat)
+    npt.assert_allclose(eta.value[0], [1.0], atol=1e-15)
 
 
 def test_ca_equals_cva_with_uniform_spatial_stage():
@@ -299,8 +301,8 @@ def test_ca_equals_cva_with_uniform_spatial_stage():
     chan = chan_params(d, 3, 5, seed=32)
     v, q = random_instance(k=4, d=d, hidden=5, seed=33)
     mask = full_mask(1, 4)
-    ca_out, readout = A.ca_only_forward(None, v, mask, q, chan)
-    gains = A._channel_gains(None, readout.channel_weights, rescale=True)
+    ca_out, beta, _ = A.ca_only_forward(None, v, mask, q, chan)
+    gains = A._channel_gains(None, beta, rescale=True)
     modulated = A.apply_channel_weights(None, gains, v)
     npt.assert_allclose(ca_out.value,
                         T.mean_over_rows(None, modulated, mask.counts).value, atol=1e-15)
@@ -311,12 +313,12 @@ def test_ra_only_region_permutation_invariant_output():
     spat = spat_params(d, 3, 5, seed=34)
     v, q = random_instance(k=5, d=d, hidden=5, seed=35)
     mask = full_mask(1, 5)
-    base, _ = A.ra_only_forward(None, v, mask, q, spat, tanh_after_sum=True)
+    base, _, _ = A.ra_only_forward(None, v, mask, q, spat, tanh_after_sum=True)
     rng = np.random.default_rng(36)
     for _ in range(5):
         perm = rng.permutation(5)
-        out, _ = A.ra_only_forward(None, Tensor(v.value[:, perm]), mask, q, spat,
-                                   tanh_after_sum=True)
+        out, _, _ = A.ra_only_forward(None, Tensor(v.value[:, perm]), mask, q, spat,
+                                      tanh_after_sum=True)
         npt.assert_allclose(out.value, base.value, atol=1e-12)
 
 
@@ -340,25 +342,25 @@ def test_pipelines_match_scalar_loop_oracle(tanh_after_sum, rescale):
         vl, ql = v.value[0].tolist(), q.value[0].tolist()
         cl, sl = channel_params_as_lists(chan), spatial_params_as_lists(spat)
 
-        out, ro = A.cva_forward(None, v, mask, q, chan, spat,
-                                tanh_after_sum=tanh_after_sum,
-                                rescale_channel_gains=rescale)
-        exp, beta, eta = naive_cva(vl, ql, cl, sl, tanh_after_sum, rescale)
+        out, beta, eta = A.cva_forward(None, v, mask, q, chan, spat,
+                                       tanh_after_sum=tanh_after_sum,
+                                       rescale_channel_gains=rescale)
+        exp, exp_beta, exp_eta = naive_cva(vl, ql, cl, sl, tanh_after_sum, rescale)
         npt.assert_allclose(out.value[0], exp, atol=1e-10)
-        npt.assert_allclose(ro.channel_weights.value[0], beta, atol=1e-10)
-        npt.assert_allclose(ro.spatial_weights.value[0], eta, atol=1e-10)
+        npt.assert_allclose(beta.value[0], exp_beta, atol=1e-10)
+        npt.assert_allclose(eta.value[0], exp_eta, atol=1e-10)
 
-        out, _ = A.cva_v_forward(None, v, mask, q, chan, spat,
-                                 tanh_after_sum=tanh_after_sum,
-                                 rescale_channel_gains=rescale)
+        out, _, _ = A.cva_v_forward(None, v, mask, q, chan, spat,
+                                    tanh_after_sum=tanh_after_sum,
+                                    rescale_channel_gains=rescale)
         exp, _, _ = naive_cva_v(vl, ql, cl, sl, tanh_after_sum, rescale)
         npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
-        out, _ = A.ca_only_forward(None, v, mask, q, chan, rescale_channel_gains=rescale)
+        out, _, _ = A.ca_only_forward(None, v, mask, q, chan, rescale_channel_gains=rescale)
         exp, _ = naive_ca_only(vl, ql, cl, rescale)
         npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
-        out, _ = A.ra_only_forward(None, v, mask, q, spat, tanh_after_sum=tanh_after_sum)
+        out, _, _ = A.ra_only_forward(None, v, mask, q, spat, tanh_after_sum=tanh_after_sum)
         exp, _ = naive_ra_only(vl, ql, sl, tanh_after_sum)
         npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
@@ -383,10 +385,10 @@ def test_batched_pipelines_match_per_example():
         "ra": lambda v, m, q: A.ra_only_forward(None, v, m, q, spat),
     }
     for fn in pipelines.values():
-        batched, _ = fn(Tensor(vs), full_mask(batch, k), Tensor(qs))
+        batched, _, _ = fn(Tensor(vs), full_mask(batch, k), Tensor(qs))
         for i in range(batch):
             # each example alone is the batch's own slice, a batch of one
-            single, _ = fn(Tensor(vs[i:i + 1]), full_mask(1, k), Tensor(qs[i:i + 1]))
+            single, _, _ = fn(Tensor(vs[i:i + 1]), full_mask(1, k), Tensor(qs[i:i + 1]))
             npt.assert_allclose(batched.value[i], single.value[0], atol=1e-13)
 
 
@@ -408,24 +410,21 @@ def test_pipeline_gradients_match_finite_differences(pipeline, tanh_after_sum):
             arrays[f"{prefix}.{name}"] = getattr(params, name).value
 
     def build(tape):
-        fresh_chan = A.ChannelAttentionParams(
-            *[Tensor(arrays[f"chan.{n}"]) for n in
-              ("vis_scale", "vis_shift", "w_question", "b_question", "w_score", "b_score")])
-        fresh_spat = A.SpatialAttentionParams(
-            *[Tensor(arrays[f"spat.{n}"]) for n in
-              ("w_visual", "b_visual", "w_question", "b_question", "w_score", "b_score")])
+        fresh_chan, fresh_spat = (
+            SimpleNamespace(**{n: Tensor(arrays[f"{prefix}.{n}"]) for n in vars(params)})
+            for prefix, params in (("chan", chan), ("spat", spat)))
         v, q = Tensor(v_val), Tensor(q_val)
         if pipeline == "cva":
-            out, _ = A.cva_forward(tape, v, mask, q, fresh_chan, fresh_spat,
-                                   tanh_after_sum=tanh_after_sum)
+            out, _, _ = A.cva_forward(tape, v, mask, q, fresh_chan, fresh_spat,
+                                      tanh_after_sum=tanh_after_sum)
         elif pipeline == "cva-v":
-            out, _ = A.cva_v_forward(tape, v, mask, q, fresh_chan, fresh_spat,
-                                     tanh_after_sum=tanh_after_sum)
+            out, _, _ = A.cva_v_forward(tape, v, mask, q, fresh_chan, fresh_spat,
+                                        tanh_after_sum=tanh_after_sum)
         elif pipeline == "ca":
-            out, _ = A.ca_only_forward(tape, v, mask, q, fresh_chan)
+            out, _, _ = A.ca_only_forward(tape, v, mask, q, fresh_chan)
         else:
-            out, _ = A.ra_only_forward(tape, v, mask, q, fresh_spat,
-                                       tanh_after_sum=tanh_after_sum)
+            out, _, _ = A.ra_only_forward(tape, v, mask, q, fresh_spat,
+                                          tanh_after_sum=tanh_after_sum)
         err = T.add(tape, out, T.scale(tape, Tensor(target), -1.0))
         loss = T.mean_all(tape, T.mul(tape, err, err))
         return loss, fresh_chan, fresh_spat

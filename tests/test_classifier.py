@@ -1,6 +1,7 @@
 """Answer prediction head and its loss."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -17,7 +18,7 @@ def params(d=6, hidden=5, fused=4, answers=3, seed=0, zero=False):
     def init(shape):
         return Tensor(np.zeros(shape) if zero else rng.uniform(-0.5, 0.5, shape))
 
-    return C.ClassifierParams(
+    return SimpleNamespace(
         w_visual=init((fused, d)), w_question=init((fused, hidden)),
         b_hidden=init((fused,)), w_out=init((answers, fused)), b_out=init((answers,)))
 
@@ -110,7 +111,7 @@ def test_classifier_gradients_match_finite_differences():
               for name in ("w_visual", "w_question", "b_hidden", "w_out", "b_out")}
 
     def build(tape):
-        p = C.ClassifierParams(**{name: Tensor(arrays[name]) for name in arrays})
+        p = SimpleNamespace(**{name: Tensor(arrays[name]) for name in arrays})
         scores = C.answer_scores(tape, Tensor(visual_val), Tensor(question_val), p)
         return T.mean_all(tape, C.answer_loss(tape, scores, [2])), p
 

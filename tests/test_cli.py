@@ -298,7 +298,8 @@ def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_
               dict(manifest, model=[1, 2]), [manifest],
               {k: v for k, v in manifest.items() if k != "vocab_sha256"},
               dict(manifest, vocab_sha256={"answer": manifest["vocab_sha256"]["answer"]}),
-              dict(manifest, vocab_sha256=dict(manifest["vocab_sha256"], question=1))]
+              dict(manifest, vocab_sha256=dict(manifest["vocab_sha256"], question=1)),
+              dict(manifest, train_config={})]
     for case, content in enumerate(broken):
         run_dir = tmp_path / str(case)
         run_dir.mkdir()
@@ -343,6 +344,16 @@ def test_train_resume_refuses_other_batch_size(trained_run, tiny_dataset, tmp_pa
     capsys.readouterr()
     assert resume(trained_run, tiny_dataset, out, *flags) == 3
     assert "batch size 8, not 4" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "checkpoint.cvac"))
+
+
+def test_train_resume_refuses_another_model_form(trained_run, tiny_dataset, tmp_path,
+                                                 capsys):
+    # the checkpoint was trained with the question inside the region tanh
+    out = str(tmp_path / "resumed")
+    capsys.readouterr()
+    assert resume(trained_run, tiny_dataset, out, *TRAIN_FLAGS, "--literal-spatial") == 3
+    assert "tanh_after_sum=True" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "checkpoint.cvac"))
 
 
@@ -418,6 +429,18 @@ def test_ablate_table_shape(tiny_dataset, tmp_path, capsys):
     assert len(csv) == 5
     # stdev column reads 0 for a single seed
     assert all(row.split(",")[3] == "0.000000" for row in csv[1:])
+
+
+def test_ablate_refuses_two_datasets_with_one_basename(tiny_dataset, tmp_path, capsys):
+    # the table names each dataset column by its directory's basename
+    twin = str(tmp_path / "twin" / os.path.basename(tiny_dataset))
+    shutil.copytree(tiny_dataset, twin)
+    out = str(tmp_path / "ablate")
+    capsys.readouterr()
+    assert run(["ablate", "--data", tiny_dataset, "--data", twin, "--out", out,
+                "--seeds", "1", "--epochs", "1"]) == 1
+    assert repr(os.path.basename(tiny_dataset)) in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "table.txt"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Question encoding: embedding lookup and the GRU recurrence."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -29,7 +31,7 @@ def _gate_view(stacked, index):
     return property(view)
 
 
-class GateParams(E.EncoderParams):
+class GateParams(SimpleNamespace):
     """Encoder parameters whose stacked input weights and biases also read as
     per-gate views, under the names the scalar oracle and the parameter store
     use. A view's ``grad`` is its block of the stacked gradient."""

@@ -11,8 +11,8 @@ import pytest
 
 import cubevqa
 import cubevqa.tensor as T
-from cubevqa.model import (Batch, DIMENSION_PROFILES, ModelConfig, VqaModel,
-                           canonical_variant)
+from cubevqa.model import (Batch, DIMENSION_PROFILES, STAGE_OF_GROUP, ModelConfig,
+                           VqaModel, canonical_variant)
 from cubevqa.tensor import InvalidArgumentError
 from cubevqa.training import substream
 
@@ -54,6 +54,22 @@ def test_variant_parameter_sets():
     assert not any(n.startswith("chan.") for n in ra.store.names())
     assert any(n.startswith("spat.") for n in cva.store.names())
     assert any(n.startswith("chan.") for n in cva.store.names())
+
+
+@pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
+def test_groups_hold_every_leaf_once(variant):
+    model = VqaModel(desk_config(variant), seed=0)
+    leaves = model.leaves()
+    groups = model._groups(leaves)
+    lacking = {"ca": {"spat"}, "ra": {"chan"}}.get(variant, set())
+    assert len(groups) == len(STAGE_OF_GROUP)
+    seen = []
+    for group, params in zip(STAGE_OF_GROUP, groups):
+        assert (params is None) == (group in lacking), group
+        for attr, leaf in (vars(params) if params else {}).items():
+            assert leaves[f"{group}.{attr}"] is leaf
+            seen.append(f"{group}.{attr}")
+    assert sorted(seen) == sorted(leaves)
 
 
 def test_variants_share_initialization_per_name():
@@ -118,6 +134,27 @@ def test_batched_forward_matches_instance_forward(variant):
             token_ids=batch.token_ids[i:i + 1, :batch.lengths[i]],
             lengths=batch.lengths[i:i + 1], labels=batch.labels[i:i + 1]))
         npt.assert_allclose(scores[i], single[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
+def test_attention_readout_of_a_batch_matches_each_example_alone(variant):
+    config = desk_config(variant)
+    model = VqaModel(config, seed=4)
+    batch = make_batch(config)
+    beta, eta = model.attention_readout(batch)
+    assert (beta is None) == (variant == "ra") and (eta is None) == (variant == "ca")
+    for weights, shape in ((beta, (5, config.feat_dim)), (eta, (5, 4))):
+        if weights is not None:
+            assert weights.shape == shape
+            npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    for i in range(batch.labels.size):
+        alone = model.attention_readout(Batch(
+            features=batch.features[i:i + 1],
+            token_ids=batch.token_ids[i:i + 1, :batch.lengths[i]],
+            lengths=batch.lengths[i:i + 1], labels=batch.labels[i:i + 1]))
+        for weights, single in zip((beta, eta), alone):
+            if weights is not None:
+                npt.assert_allclose(weights[i], single[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
@@ -295,9 +332,9 @@ def test_full_scale_forward_backward_one_step():
         assert grad.shape == model.store[name].value.shape
         assert np.all(np.isfinite(grad))
     assert elapsed < 10.0
-    readout = model.attention_readout(batch.features[0], batch.token_ids[0])
-    assert readout.channel_weights.value.shape == (2048,)
-    assert readout.spatial_weights.value.shape == (36,)
+    beta, eta = model.attention_readout(batch)
+    assert beta.shape == (1, 2048)
+    assert eta.shape == (1, 36)
 
 
 # one training step of the documented full configuration (profile ``full``,
@@ -341,3 +378,15 @@ def test_full_profile_default_batch_step_fits_in_memory():
     loss, peak_kib = proc.stdout.split()
     assert np.isfinite(float(loss))
     assert int(peak_kib) <= 2.5 * 2**20, f"peak RSS {int(peak_kib) / 1024:.0f} MiB"
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    # perfbench/ calls the model's API (``_groups``, ``instance_loss``,
+    # ``predict_batch``, ...); its self-test fails when a change breaks it.
+    # It writes only under the git-ignored perfbench/work/.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-3000:]
+    assert "0 failure(s)" in proc.stdout
