@@ -87,12 +87,18 @@ def cmd_synth(args):
 
 
 def _load_prepared(data_dir, splits=("train", "test"), max_question_len=26):
-    """One ``PreparedDataset`` per named split; other splits are not read."""
-    container = data.load_features(os.path.join(data_dir, "features.cvaf"))
+    """One ``PreparedDataset`` per named split; other splits are not read.
+
+    Only the feature records the splits' examples name are built; the others
+    have their headers checked and nothing more (``data.load_features``).
+    """
     question_vocab = data.load_vocab(os.path.join(data_dir, "question_vocab.txt"))
     answer_vocab = data.load_vocab(os.path.join(data_dir, "answer_vocab.txt"))
     examples = [data.load_examples(os.path.join(data_dir, f"{split}.txt"),
                                    num_answers=len(answer_vocab)) for split in splits]
+    container = data.load_features(
+        os.path.join(data_dir, "features.cvaf"),
+        {ex.image_id for split_examples in examples for ex in split_examples})
     return [data.prepare_dataset(container, split_examples, question_vocab,
                                  answer_vocab, max_question_len)
             for split_examples in examples]
@@ -140,8 +146,11 @@ def _read_manifest(checkpoint):
     path = os.path.join(os.path.dirname(os.path.abspath(checkpoint)), "manifest.json")
     if not os.path.exists(path):
         raise data.FormatError(f"no manifest.json next to checkpoint {checkpoint}")
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except UnicodeDecodeError as err:
+        raise data.FormatError(f"{path}: not UTF-8: {err}") from None
     try:
         model_config = ModelConfig(**manifest["model"])
     except (KeyError, TypeError, InvalidArgumentError) as err:
@@ -170,6 +179,9 @@ def _check_vocabularies(trained_digests, dataset, data_dir):
 
 
 def cmd_train(args):
+    if args.resume and args.embeddings:
+        raise UsageError("--embeddings cannot be combined with --resume: the "
+                         "checkpoint restores every embedding row")
     out = _out_dir(args, "train")
     os.makedirs(out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")

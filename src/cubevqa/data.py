@@ -59,27 +59,39 @@ class FormatError(ValueError):
 
 
 class FeatureContainer:
-    """Region feature maps keyed by image id; D is uniform, K may vary."""
+    """Region feature maps keyed by image id; D is uniform, K may vary.
+
+    ``records`` holds the built maps. ``admit`` takes a record's header
+    alone, so ids, shapes and the channel count are checked across records
+    that are never built.
+    """
 
     def __init__(self):
         self.records = {}
         self.feat_dim = None
+        self._ids = set()   # every admitted id, built or not
+
+    def admit(self, image_id, shape):
+        """Check a record's ``(K, D)`` shape, that its id is new and that
+        its D is the container's, and take the id."""
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+            raise InvalidArgumentError(
+                f"features for {image_id!r} must be a (K, D) matrix, got {shape}")
+        if image_id in self._ids:
+            raise InvalidArgumentError(f"duplicate image id {image_id!r}")
+        if self.feat_dim is None:
+            self.feat_dim = shape[1]
+        elif shape[1] != self.feat_dim:
+            raise InvalidArgumentError(
+                f"features for {image_id!r} have {shape[1]} channels, "
+                f"container uses {self.feat_dim}")
+        self._ids.add(image_id)
 
     def add(self, image_id, features):
         features = np.asarray(features, dtype=np.float32)
-        if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
-            raise InvalidArgumentError(
-                f"features for {image_id!r} must be a (K, D) matrix, got {features.shape}")
         if not np.all(np.isfinite(features)):
             raise InvalidArgumentError(f"features for {image_id!r} contain non-finite values")
-        if image_id in self.records:
-            raise InvalidArgumentError(f"duplicate image id {image_id!r}")
-        if self.feat_dim is None:
-            self.feat_dim = features.shape[1]
-        elif features.shape[1] != self.feat_dim:
-            raise InvalidArgumentError(
-                f"features for {image_id!r} have {features.shape[1]} channels, "
-                f"container uses {self.feat_dim}")
+        self.admit(image_id, features.shape)
         self.records[image_id] = features
 
     def __len__(self):
@@ -112,8 +124,16 @@ def write_features(container, path):
             fh.write(features.astype("<f4", copy=False).tobytes(order="C"))
 
 
-def load_features(path):
-    """Parse a CVAF file; every record is a read-only view of its one buffer."""
+def load_features(path, image_ids=None):
+    """Parse a CVAF file; every built record is a read-only view of its one buffer.
+
+    ``image_ids`` (a set, or ``None`` for all) names the records to build.
+    Every record's header is parsed and checked whether it is built or not:
+    a truncated payload, an id that is not UTF-8, a repeated id, an empty
+    shape or another channel count is refused, as are trailing bytes. Only
+    built records are scanned for non-finite values. A named id the file
+    lacks is simply absent from the container.
+    """
     reader = ByteReader(read_file(path), path, FormatError)
     if reader.take(4, "magic") != _FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0")
@@ -126,7 +146,10 @@ def load_features(path):
         image_id = reader.name("image id")
         k, d = reader.unpack("<II", f"dimensions of {image_id!r}")
         payload = reader.take(k * d * 4, f"features of {image_id!r}")
-        container.add(image_id, np.frombuffer(payload, dtype="<f4").reshape(k, d))
+        if image_ids is None or image_id in image_ids:
+            container.add(image_id, np.frombuffer(payload, dtype="<f4").reshape(k, d))
+        else:
+            container.admit(image_id, (k, d))
     reader.finish()
     return container
 

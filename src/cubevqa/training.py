@@ -157,14 +157,19 @@ def clip_gradients(store, max_norm):
     return norm
 
 
-def adam_step(store, config):
+def adam_step(store, config, grad_norm=None):
     """One Adam update with bias correction; zeroes gradients afterwards.
 
     Works in place on the arena, one chunk at a time. The elementwise
     operations and their order match the textbook per-array form exactly;
     each gradient chunk doubles as scratch once the moments have consumed it.
+
+    A non-finite gradient is refused, naming its parameter. ``grad_norm`` is
+    what ``clip_gradients`` returned for these gradients: when it is finite,
+    every gradient is, and the scan for non-finite values is skipped.
     """
-    if not np.isfinite(store.flat_grad).all():
+    scan = grad_norm is None or not math.isfinite(grad_norm)
+    if scan and not np.isfinite(store.flat_grad).all():
         name = next(n for n in store.names() if not np.isfinite(store[n].grad).all())
         raise InvalidArgumentError(f"non-finite gradient for parameter {name!r}")
     store.step += 1
@@ -309,8 +314,8 @@ def train_epoch(model, dataset, config, epoch):
         if not np.isfinite(loss_value):
             raise InvalidArgumentError(
                 f"non-finite loss in epoch {epoch}, batch {batch_index}")
-        clip_gradients(model.store, config.clip_norm)
-        adam_step(model.store, config)
+        norm = clip_gradients(model.store, config.clip_norm)
+        adam_step(model.store, config, grad_norm=norm)
         total_loss += loss_value * chosen.size
         total_correct += int(np.sum(predictions == labels))
     return total_loss / n, total_correct / n

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -247,6 +248,45 @@ def test_eval_reads_only_the_scored_split(trained_run, tiny_dataset, tmp_path, c
     assert (capsys.readouterr().out, open(csv_path).read()) == full
 
 
+def poison_record(path, image_id):
+    """Overwrite the first value of ``image_id``'s record in the CVAF file at
+    ``path`` with NaN."""
+    blob = bytearray(open(path, "rb").read())
+    offset = 12  # magic, version and record count
+    while True:
+        (size,) = struct.unpack_from("<H", blob, offset)
+        name = blob[offset + 2:offset + 2 + size].decode("utf-8")
+        k, d = struct.unpack_from("<II", blob, offset + 2 + size)
+        payload = offset + 2 + size + 8
+        if name == image_id:
+            struct.pack_into("<f", blob, payload, float("nan"))
+            break
+        offset = payload + 4 * k * d
+    open(path, "wb").write(bytes(blob))
+
+
+def test_eval_scans_only_the_records_of_the_scored_split(trained_run, tiny_dataset,
+                                                         tmp_path, capsys):
+    checkpoint = os.path.join(trained_run, "checkpoint.cvac")
+    csv_path = str(tmp_path / "r.csv")
+    assert run(["eval", "--checkpoint", checkpoint, "--data", tiny_dataset,
+                "--csv", csv_path]) == 0
+    clean = capsys.readouterr().out, open(csv_path).read()
+    poisoned = str(tmp_path / "poisoned")
+    shutil.copytree(tiny_dataset, poisoned)
+    poison_record(os.path.join(poisoned, "features.cvaf"), "train_000000")
+    assert run(["eval", "--checkpoint", checkpoint, "--data", poisoned,
+                "--csv", csv_path]) == 0
+    assert (capsys.readouterr().out, open(csv_path).read()) == clean
+    assert run(["eval", "--checkpoint", checkpoint, "--data", poisoned,
+                "--split", "train", "--csv", csv_path]) == 3
+    assert "'train_000000' contain non-finite" in capsys.readouterr().err
+    poison_record(os.path.join(poisoned, "features.cvaf"), "test_000000")
+    assert run(["eval", "--checkpoint", checkpoint, "--data", poisoned,
+                "--csv", csv_path]) == 3
+    assert "'test_000000' contain non-finite" in capsys.readouterr().err
+
+
 def test_eval_architecture_mismatch(trained_run, tmp_path, capsys):
     other = str(tmp_path / "other")
     code = run(["synth", "--task", "spatial", "--out", other, "--size", "20",
@@ -310,6 +350,21 @@ def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_
         assert "format error" in capsys.readouterr().err
 
 
+def test_non_utf8_manifest_is_format_error(trained_run, tiny_dataset, tmp_path, capsys):
+    run_dir = tmp_path / "latin"
+    shutil.copytree(trained_run, str(run_dir))
+    (run_dir / "manifest.json").write_bytes(b"\xff\xfe{}")
+    checkpoint = str(run_dir / "checkpoint.cvac")
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", checkpoint, "--data", tiny_dataset,
+                "--csv", str(run_dir / "r.csv")]) == 2
+    assert "format error" in capsys.readouterr().err
+    assert run(["train", "--variant", "cva", "--data", tiny_dataset,
+                "--out", str(tmp_path / "resumed"), "--resume", checkpoint]
+               + TRAIN_FLAGS + ["--epochs", "3"]) == 2
+    assert "format error" in capsys.readouterr().err
+
+
 def resume(trained_run, data_dir, out, *flags):
     """``train --resume`` of ``trained_run``'s checkpoint for a third epoch."""
     flags = list(flags) or TRAIN_FLAGS
@@ -370,6 +425,20 @@ def test_train_resume_without_manifest_is_format_error(trained_run, tiny_dataset
     (bare / "manifest.json").write_text(json.dumps(manifest))
     assert resume(str(bare), tiny_dataset, str(tmp_path / "resumed")) == 2
     assert "batch_size" in capsys.readouterr().err
+
+
+def test_train_resume_refuses_embeddings_before_loading(trained_run, tiny_dataset,
+                                                       tmp_path, capsys):
+    # the restore would overwrite every embedding row the file seeded
+    embeddings = tmp_path / "emb.txt"
+    embeddings.write_text("what" + " 0.5" * 16 + "\n")
+    out = tmp_path / "resumed"
+    capsys.readouterr()
+    assert resume(trained_run, tiny_dataset, str(out), *TRAIN_FLAGS,
+                  "--embeddings", str(embeddings)) == 1
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and "--embeddings" in captured.err
+    assert "loaded" not in captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("field,value", [

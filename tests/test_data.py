@@ -1,6 +1,7 @@
 """Feature container format, toy generator, vocabularies, dataset lines."""
 
 import re
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -136,13 +137,80 @@ def owner(array):
 
 
 def test_loaded_records_are_views_of_one_buffer(tmp_path):
+    path, blob = small_container_file(tmp_path)
+    for image_ids in (None, {"img", "second"}, {"second"}):
+        loaded = load_features(path, image_ids)
+        owners = {id(owner(a)): owner(a) for a in loaded.records.values()}
+        assert len(owners) == 1, image_ids
+        assert next(iter(owners.values())).nbytes == len(blob)
+        assert not any(a.flags.writeable for a in loaded.records.values())
+        if image_ids != {"second"}:
+            npt.assert_array_equal(loaded["img"], np.arange(6.0).reshape(2, 3))
+        npt.assert_array_equal(loaded["second"], -np.ones((1, 3)))
+
+
+def cvaf_bytes(records):
+    """The bytes of a CVAF file holding ``(id bytes, (K, D) array)`` records,
+    written without any of ``FeatureContainer``'s checks."""
+    parts = [b"CVAF", struct.pack("<II", 1, len(records))]
+    for image_id, features in records:
+        parts += [struct.pack("<H", len(image_id)), image_id,
+                  struct.pack("<II", *features.shape),
+                  np.asarray(features, dtype="<f4").tobytes()]
+    return b"".join(parts)
+
+
+KEPT = (b"kept", np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("records,error,match", [
+    ([KEPT, (b"\xffid", np.ones((1, 3)))], FormatError, "byte 52 is not UTF-8"),
+    ([KEPT, (b"other", np.ones((1, 3))), (b"other", np.ones((2, 3)))],
+     InvalidArgumentError, "duplicate image id 'other'"),
+    ([KEPT, (b"other", np.ones((1, 4)))], InvalidArgumentError, "'other' have 4 channels"),
+    ([(b"other", np.ones((1, 4))), KEPT], InvalidArgumentError, "'kept' have 3 channels"),
+    ([KEPT, (b"other", np.ones((0, 3)))], InvalidArgumentError, r"'other' must be a \(K, D\)"),
+], ids=["non-utf8-id", "repeated-id", "other-channel-count", "kept-after-other-count",
+        "empty-shape"])
+def test_skipped_record_headers_are_still_checked(tmp_path, records, error, match):
+    path = tmp_path / "f.cvaf"
+    path.write_bytes(cvaf_bytes(records))
+    for image_ids in ({"kept"}, None):
+        with pytest.raises(error, match=match):
+            load_features(str(path), image_ids)
+
+
+def test_skipped_record_truncation_and_trailing_bytes_are_still_refused(tmp_path):
+    path = tmp_path / "f.cvaf"
+    blob = cvaf_bytes([KEPT, (b"other", np.ones((2, 3)))])
+    path.write_bytes(blob[:-1])
+    with pytest.raises(FormatError, match="truncated while reading features of 'other'"):
+        load_features(str(path), {"kept"})
+    path.write_bytes(blob + b"x")
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        load_features(str(path), {"kept"})
+
+
+def test_only_built_records_are_scanned_for_non_finite_values(tmp_path):
+    path = tmp_path / "f.cvaf"
+    path.write_bytes(cvaf_bytes([KEPT, (b"nan", np.full((1, 3), np.nan))]))
+    loaded = load_features(str(path), {"kept", "absent"})
+    assert list(loaded.records) == ["kept"] and loaded.feat_dim == 3
+    for image_ids in ({"kept", "nan"}, None):
+        with pytest.raises(InvalidArgumentError, match="'nan' contain non-finite"):
+            load_features(str(path), image_ids)
+
+
+def test_loading_without_ids_builds_every_record(tmp_path):
     path, _ = small_container_file(tmp_path)
-    loaded = load_features(path)
-    first, second = loaded["img"], loaded["second"]
-    assert owner(first) is owner(second)
-    assert not first.flags.writeable
-    npt.assert_array_equal(first, np.arange(6.0).reshape(2, 3))
-    npt.assert_array_equal(second, -np.ones((1, 3)))
+    every = load_features(path)
+    assert list(every.records) == ["img", "second"] and every.feat_dim == 3
+    for image_ids in (None, {"img", "second"}):
+        loaded = load_features(path, image_ids)
+        assert list(loaded.records) == list(every.records)
+        for key, features in every.records.items():
+            assert loaded[key].dtype == features.dtype == np.float32
+            npt.assert_array_equal(loaded[key], features)
 
 
 def test_container_validation():

@@ -102,6 +102,21 @@ def test_channel_scores_match_numpy_composition(vis_shape, query_shape):
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("vis_shape,query_shape", [
+    ((3, 300), (3, 1024)),    # D * h > SCORE_TILE: tiles are channel slices of one example
+    ((130, 32), (130, 64)),   # whole examples share a tile
+], ids=["channels-per-tile", "examples-per-tile"])
+def test_channel_scores_forward_is_the_broadcast_composition_bit_for_bit(vis_shape,
+                                                                         query_shape):
+    assert len(T._score_tiles(vis_shape[0], vis_shape[1], query_shape[1])) > 1
+    rng = np.random.default_rng(vis_shape[1])
+    vis, query = rng.standard_normal(vis_shape), rng.standard_normal(query_shape)
+    w = rng.standard_normal(query_shape[-1])
+    out = T.channel_scores(None, leaf(vis), leaf(query), leaf(w))
+    npt.assert_array_equal(out.value,
+                           np.matmul(np.tanh(vis[:, :, None] * query[:, None, :]), w))
+
+
 def test_channel_scores_rejects_bad_shapes():
     w = leaf(np.ones(4))
     with pytest.raises(ShapeError):  # batch sizes differ

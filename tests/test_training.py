@@ -272,6 +272,27 @@ def test_same_seed_identical_loss_curve():
     assert curves[0] == curves[1]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_epoch_refuses_a_non_finite_gradient_naming_its_parameter(monkeypatch, bad):
+    # the loss stays finite and one gradient entry does not: clip_gradients
+    # returns a non-finite norm, so adam_step scans and names the parameter
+    prepared, model_config = toy_setup()
+    model = VqaModel(model_config, seed=0)
+    step = model.train_step_forward_backward
+
+    def poisoned(*args, **kwargs):
+        result = step(*args, **kwargs)
+        model.store["spat.w_score"].grad[1] = bad
+        return result
+
+    monkeypatch.setattr(model, "train_step_forward_backward", poisoned)
+    # clipping an infinite norm turns the infinite entry into 0 * inf = NaN
+    with pytest.raises(InvalidArgumentError) as err, np.errstate(invalid="ignore"):
+        TR.train_epoch(model, prepared, TrainConfig(batch_size=8, dropout=0.0), epoch=0)
+    assert "'spat.w_score'" in str(err.value)
+    assert model.store.step == 0
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
