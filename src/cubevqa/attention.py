@@ -11,11 +11,11 @@ condition on a question encoding ``Q`` of shape ``(B, H)``:
 * spatial attention produces a distribution ``eta`` over the ``K`` regions
   (equivariant to region order).
 
-Four pipelines compose them: channel-then-spatial stacking, the reversed
-stacking, and the two single-attention ablations; the three with a channel
-stage share ``_channel_stage``. Each returns ``(attended, beta, eta)``, the
-``(B, D)`` attended vector and the two distributions, ``None`` for a stage
-it lacks.
+One pipeline, ``attend``, composes them in a given order of stages:
+channel-then-spatial stacking, the reversed stacking, or either stage alone
+for the single-attention ablations. It returns ``(attended, beta, eta)``,
+the ``(B, D)`` attended vector and the two distributions, ``None`` for a
+stage the order lacks.
 
 Examples in a batch may have different region counts. The map is then
 zero-padded to the largest count, and every function that reads the region
@@ -73,11 +73,6 @@ def channel_attention(tape, channel_means, question, params):
     scores = T.add_scalar(tape, T.channel_scores(tape, vis, query, params.w_score),
                           params.b_score)
     return T.softmax(tape, scores)
-
-
-def apply_channel_weights(tape, channel_weights, feature_map):
-    """Scale every region's channel ``d`` by ``channel_weights[d]``."""
-    return T.mul_vec(tape, feature_map, channel_weights)
 
 
 # Contrast of the rescaled channel gains: g = 1 + s * (D*beta - 1). At the
@@ -156,54 +151,29 @@ def apply_spatial_weights(tape, spatial_weights, feature_map, mask):
     return T.weighted_row_sum(tape, feature_map, spatial_weights, mask.inverse)
 
 
-def _channel_stage(tape, feature_map, mask, question, params, rescale, strength):
-    """Channel weights ``beta`` ``(B, D)`` from the map's region means, and
-    the map modulated by their gains."""
-    beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
-                             question, params)
-    gains = _channel_gains(tape, beta, rescale, strength)
-    return beta, apply_channel_weights(tape, gains, feature_map)
+def attend(tape, order, feature_map, mask, question, channel_params, spatial_params,
+           tanh_after_sum=False, rescale_channel_gains=True,
+           gain_strength=DEFAULT_GAIN_STRENGTH):
+    """Run the stages ``order`` names (``"chan"``, ``"spat"``) over the map.
 
-
-def cva_forward(tape, feature_map, mask, question, channel_params, spatial_params,
-                tanh_after_sum=False, rescale_channel_gains=True,
-                gain_strength=DEFAULT_GAIN_STRENGTH):
-    """Channel attention first, then spatial attention on the modulated map."""
-    beta, modulated = _channel_stage(tape, feature_map, mask, question, channel_params,
-                                     rescale_channel_gains, gain_strength)
-    eta = spatial_attention(tape, modulated, mask, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum)
-    return apply_spatial_weights(tape, eta, modulated, mask), beta, eta
-
-
-def cva_v_forward(tape, feature_map, mask, question, channel_params, spatial_params,
-                  tanh_after_sum=False, rescale_channel_gains=True,
-                  gain_strength=DEFAULT_GAIN_STRENGTH):
-    """Reversed stacking: spatial attention first, then channel attention.
-
-    The spatial weights rescale rows without summing them (so a K x D map
-    survives for channel attention to pool), and the 1/K aggregation happens
-    once, after the channel modulation.
+    A ``"chan"`` stage scores the channels from the current map's region
+    means and modulates the map by their gains. A ``"spat"`` stage scores the
+    regions; as the last stage it aggregates them by the ``1/K`` weighted sum,
+    otherwise it rescales the rows and keeps the K x D map for the next stage.
+    An order ending on ``"chan"`` aggregates by the plain per-channel mean.
+    Returns ``(attended, beta, eta)``, ``None`` for a stage the order lacks.
     """
-    eta = spatial_attention(tape, feature_map, mask, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum)
-    beta, modulated = _channel_stage(tape, T.scale_rows(tape, feature_map, eta), mask,
-                                     question, channel_params, rescale_channel_gains,
-                                     gain_strength)
-    return channel_mean_pool(tape, modulated, mask), beta, eta
-
-
-def ca_only_forward(tape, feature_map, mask, question, channel_params,
-                    rescale_channel_gains=True, gain_strength=DEFAULT_GAIN_STRENGTH):
-    """Channel attention only; regions are aggregated by the plain mean."""
-    beta, modulated = _channel_stage(tape, feature_map, mask, question, channel_params,
-                                     rescale_channel_gains, gain_strength)
-    return channel_mean_pool(tape, modulated, mask), beta, None
-
-
-def ra_only_forward(tape, feature_map, mask, question, spatial_params,
-                    tanh_after_sum=False):
-    """Region attention only, computed and applied on the raw map."""
-    eta = spatial_attention(tape, feature_map, mask, question, spatial_params,
-                            tanh_after_sum=tanh_after_sum)
-    return apply_spatial_weights(tape, eta, feature_map, mask), None, eta
+    beta = eta = None
+    for position, stage in enumerate(order, start=1):
+        if stage == "chan":
+            beta = channel_attention(tape, channel_mean_pool(tape, feature_map, mask),
+                                     question, channel_params)
+            gains = _channel_gains(tape, beta, rescale_channel_gains, gain_strength)
+            feature_map = T.mul_vec(tape, feature_map, gains)
+        else:
+            eta = spatial_attention(tape, feature_map, mask, question, spatial_params,
+                                    tanh_after_sum=tanh_after_sum)
+            if position == len(order):
+                return apply_spatial_weights(tape, eta, feature_map, mask), beta, eta
+            feature_map = T.scale_rows(tape, feature_map, eta)
+    return channel_mean_pool(tape, feature_map, mask), beta, eta

@@ -456,7 +456,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train one variant on a dataset directory")
     p.add_argument("--variant", required=True,
-                   choices=("ca", "ra", "cva", "cva-v", "r-cva"))
+                   choices=model.VARIANTS + tuple(model.VARIANT_ALIASES))
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
@@ -483,7 +483,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny instance")
     p.add_argument("--variant", default="all",
-                   choices=("ca", "ra", "cva", "cva-v", "r-cva", "all"))
+                   choices=model.VARIANTS + tuple(model.VARIANT_ALIASES) + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=_positive_int, default=1, help="number of seeds to sweep")
     p.add_argument("--literal-spatial", action="store_true")

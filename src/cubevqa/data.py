@@ -165,15 +165,6 @@ class VqaExample:
     human_answers: list
     train_label: int = -1
 
-    def validate(self):
-        if len(self.human_answers) != HUMAN_ANSWERS_PER_QUESTION:
-            raise InvalidArgumentError(
-                f"example {self.image_id!r} has {len(self.human_answers)} answers, "
-                f"expected {HUMAN_ANSWERS_PER_QUESTION}")
-        if not self.tokens:
-            raise InvalidArgumentError(f"example {self.image_id!r} has no question tokens")
-        return self
-
 
 def write_examples(examples, path):
     with open(path, "w", encoding="utf-8") as fh:
@@ -206,7 +197,7 @@ def load_examples(path, num_answers=None):
                 raise FormatError(f"{path}:{lineno}: label {parts[2]!r} is not an integer")
             if label < 0 or (num_answers is not None and label >= num_answers):
                 raise FormatError(f"{path}:{lineno}: label {label} outside answer vocabulary")
-            examples.append(VqaExample(head[0], head[1:], answers, label).validate())
+            examples.append(VqaExample(head[0], head[1:], answers, label))
     return examples
 
 

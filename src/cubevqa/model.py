@@ -1,6 +1,7 @@
 """Full VQA models: question encoder + attention pipeline + classifier.
 
-A model owns a parameter store and knows which attention pipeline it runs:
+A model owns a parameter store and knows its variant, the order in which
+``attention.attend`` runs the channel and region stages (``ATTENTION_ORDER``):
 
 * ``ca``    channel attention only, mean aggregation over regions
 * ``ra``    region attention only, on the raw feature map
@@ -30,7 +31,12 @@ from . import tensor as T
 from .tensor import InvalidArgumentError, Tensor
 from .training import ParameterStore, dropout_mask, glorot_uniform, substream
 
-VARIANTS = ("ca", "ra", "cva", "cva-v")
+# a variant is the order in which ``attention.attend`` runs its stages; a
+# stage's name is also the prefix of the parameter group it reads
+ATTENTION_ORDER = {"ca": ("chan",), "ra": ("spat",), "cva": ("chan", "spat"),
+                   "cva-v": ("spat", "chan")}
+VARIANTS = tuple(ATTENTION_ORDER)
+VARIANT_ALIASES = {"r-cva": "cva-v"}
 VARIANT_LABELS = {"ca": "CA", "ra": "RA", "cva": "CVA", "cva-v": "R-CVA"}
 GRU_GATES = ("update", "reset", "cand")
 
@@ -55,11 +61,11 @@ DIMENSION_PROFILES = {
 def canonical_variant(name):
     """Normalize a variant name; accepts the R-CVA alias for ``cva-v``."""
     key = name.strip().lower()
-    if key == "r-cva":
-        key = "cva-v"
+    key = VARIANT_ALIASES.get(key, key)
     if key not in VARIANTS:
         raise InvalidArgumentError(
-            f"unknown variant {name!r}; valid names: ca, ra, cva, cva-v (alias r-cva)")
+            f"unknown variant {name!r}; valid names: {', '.join(VARIANTS)} "
+            f"(alias {', '.join(VARIANT_ALIASES)})")
     return key
 
 
@@ -172,14 +178,14 @@ class VqaModel:
             init(f"enc.u_{gate}", (cfg.hidden_dim, cfg.hidden_dim))
         for gate in GRU_GATES:
             init(f"enc.b_{gate}", (cfg.hidden_dim,), zero=True)
-        if cfg.variant in ("ca", "cva", "cva-v"):
+        if "chan" in ATTENTION_ORDER[cfg.variant]:
             init("chan.vis_scale", (cfg.feat_dim,))
             init("chan.vis_shift", (cfg.feat_dim,), zero=True)
             init("chan.w_question", (cfg.attn_dim, cfg.hidden_dim))
             init("chan.b_question", (cfg.attn_dim,), zero=True)
             init("chan.w_score", (cfg.attn_dim,))
             init("chan.b_score", (), zero=True)
-        if cfg.variant in ("ra", "cva", "cva-v"):
+        if "spat" in ATTENTION_ORDER[cfg.variant]:
             init("spat.w_visual", (cfg.attn_dim, cfg.feat_dim))
             init("spat.b_visual", (cfg.attn_dim,), zero=True)
             init("spat.w_question", (cfg.attn_dim, cfg.hidden_dim))
@@ -223,17 +229,11 @@ class VqaModel:
 
     def _attend(self, tape, batch, question, chan, spat):
         cfg = self.config
-        features, mask = T.constant(batch.features), batch.region_mask
-        gains = dict(rescale_channel_gains=cfg.rescale_channel_gains,
-                     gain_strength=cfg.channel_gain_strength)
-        if cfg.variant == "ca":
-            return attention.ca_only_forward(tape, features, mask, question, chan, **gains)
-        if cfg.variant == "ra":
-            return attention.ra_only_forward(tape, features, mask, question, spat,
-                                             tanh_after_sum=cfg.tanh_after_sum)
-        stacked = attention.cva_forward if cfg.variant == "cva" else attention.cva_v_forward
-        return stacked(tape, features, mask, question, chan, spat,
-                       tanh_after_sum=cfg.tanh_after_sum, **gains)
+        return attention.attend(
+            tape, ATTENTION_ORDER[cfg.variant], T.constant(batch.features), batch.region_mask,
+            question, chan, spat, tanh_after_sum=cfg.tanh_after_sum,
+            rescale_channel_gains=cfg.rescale_channel_gains,
+            gain_strength=cfg.channel_gain_strength)
 
     @staticmethod
     def _loss(tape, batch, scores):

@@ -315,16 +315,13 @@ def _score_tiles(batch, channels, width):
     """Cover the ``(batch, channels, width)`` map with tiles of <= SCORE_TILE entries.
 
     Returns ``(examples, channels)`` slice pairs: whole examples while one
-    fits in a tile, otherwise channel slices of a single example.
+    fits in a tile, otherwise channel slices of a single example, never less
+    than one channel: a ``width`` above SCORE_TILE gets tiles of that width.
     """
-    per_example = channels * width
-    if per_example <= SCORE_TILE:
-        step = SCORE_TILE // per_example
-        return [(slice(b0, min(b0 + step, batch)), slice(0, channels))
-                for b0 in range(0, batch, step)]
-    step = max(SCORE_TILE // width, 1)
-    return [(slice(b, b + 1), slice(d0, min(d0 + step, channels)))
-            for b in range(batch) for d0 in range(0, channels, step)]
+    cols = min(channels, max(SCORE_TILE // width, 1))
+    rows = max(SCORE_TILE // (cols * width), 1)
+    return [(slice(b0, min(b0 + rows, batch)), slice(d0, min(d0 + cols, channels)))
+            for b0 in range(0, batch, rows) for d0 in range(0, channels, cols)]
 
 
 def channel_scores(tape, vis, query, w):
@@ -345,6 +342,7 @@ def channel_scores(tape, vis, query, w):
         raise InvalidArgumentError("channel_scores: operands must be nonempty")
     width = wv.shape[0]
     tiles = _score_tiles(vv.shape[0], vv.shape[1], width)
+    scratch_size = min(max(SCORE_TILE, width), vv.size * width)
 
     def tanh_tile(scratch, rows, cols):
         vt, qt = vv[rows, cols], qv[rows]
@@ -353,7 +351,7 @@ def channel_scores(tape, vis, query, w):
         np.einsum("bd,bj->bdj", vt, qt, out=buf)
         return np.tanh(buf, out=buf)
 
-    scratch = np.empty(min(SCORE_TILE, vv.size * width))
+    scratch = np.empty(scratch_size)
     value = np.empty(vv.shape)
     for rows, cols in tiles:
         t = tanh_tile(scratch, rows, cols)
@@ -365,7 +363,7 @@ def channel_scores(tape, vis, query, w):
         d_vis = np.empty(vv.shape)
         d_query = np.zeros(qv.shape)
         d_w = np.zeros(width)
-        scratch = np.empty(min(SCORE_TILE, vv.size * width))
+        scratch = np.empty(scratch_size)
         for rows, cols in tiles:
             t = tanh_tile(scratch, rows, cols)
             d_w += g[rows, cols].reshape(-1) @ t.reshape(-1, width)

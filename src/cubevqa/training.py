@@ -147,12 +147,13 @@ class ParameterStore:
 def clip_gradients(store, max_norm):
     """Scale all gradients so the global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm. A non-finite norm leaves the gradients for
+    ``adam_step`` to refuse; scaling by ``max_norm / inf`` would make inf * 0.
     """
     if max_norm <= 0:
         raise InvalidArgumentError(f"clip norm must be positive, got {max_norm}")
     norm = store.grad_norm()
-    if norm > max_norm:
+    if max_norm < norm < math.inf:
         store.flat_grad *= max_norm / norm
     return norm
 

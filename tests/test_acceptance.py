@@ -19,7 +19,7 @@ import cubevqa.cli as cli
 import cubevqa.tensor as T
 from cubevqa import data, metrics
 from cubevqa.metrics import Taxonomy, vqa_accuracy, wup_similarity, wups_score
-from cubevqa.model import ModelConfig, VqaModel
+from cubevqa.model import ATTENTION_ORDER, ModelConfig, VqaModel
 from cubevqa.tensor import Tensor
 from cubevqa.training import TrainConfig, substream
 from helpers import (naive_ca_only, naive_cva, naive_cva_v, naive_ra_only,
@@ -82,7 +82,8 @@ def test_criterion_2_attention_invariants(capsys):
     all_positive = True
     for _ in range(1000):
         chan, spat, v, q, mask = random_attention_setup(rng, k, d, h_a, hidden)
-        out, beta, eta = A.cva_forward(None, v, mask, q, chan, spat, tanh_after_sum=True)
+        out, beta, eta = A.attend(None, ATTENTION_ORDER["cva"], v, mask, q, chan, spat,
+                                  tanh_after_sum=True)
         beta, eta = beta.value, eta.value
         worst_sum = max(worst_sum, abs(beta.sum() - 1), abs(eta.sum() - 1))
         all_positive = all_positive and np.all(beta > 0) and np.all(eta > 0)
@@ -96,8 +97,8 @@ def test_criterion_2_attention_invariants(capsys):
         raw_eta = A.spatial_attention(None, v, mask, q, spat, tanh_after_sum=True).value
         worst_equivariance = max(worst_equivariance,
                                  np.max(np.abs(eta_perm - raw_eta[:, perm])))
-        out_perm, _, _ = A.cva_forward(None, v_perm, mask, q, chan, spat,
-                                       tanh_after_sum=True)
+        out_perm, _, _ = A.attend(None, ATTENTION_ORDER["cva"], v_perm, mask, q, chan,
+                                  spat, tanh_after_sum=True)
         worst_cva_drift = max(worst_cva_drift,
                               np.max(np.abs(out_perm.value - out.value)))
     with capsys.disabled():
@@ -146,24 +147,18 @@ def test_criterion_4_forward_oracle_equivalence(capsys):
         cl, sl = channel_params_as_lists(chan), spatial_params_as_lists(spat)
         for tanh_after_sum in (False, True):
             for rescale in (False, True):
-                out, _, _ = A.cva_forward(None, v, mask, q, chan, spat,
-                                          tanh_after_sum=tanh_after_sum,
-                                          rescale_channel_gains=rescale)
-                exp, _, _ = naive_cva(vl, ql, cl, sl, tanh_after_sum, rescale)
-                worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
-                out, _, _ = A.cva_v_forward(None, v, mask, q, chan, spat,
-                                            tanh_after_sum=tanh_after_sum,
-                                            rescale_channel_gains=rescale)
-                exp, _, _ = naive_cva_v(vl, ql, cl, sl, tanh_after_sum, rescale)
-                worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
-                out, _, _ = A.ca_only_forward(None, v, mask, q, chan,
-                                              rescale_channel_gains=rescale)
-                exp, _ = naive_ca_only(vl, ql, cl, rescale)
-                worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
-                out, _, _ = A.ra_only_forward(None, v, mask, q, spat,
-                                              tanh_after_sum=tanh_after_sum)
-                exp, _ = naive_ra_only(vl, ql, sl, tanh_after_sum)
-                worst = max(worst, np.max(np.abs(out.value[0] - np.array(exp))))
+                oracles = {
+                    "cva": naive_cva(vl, ql, cl, sl, tanh_after_sum, rescale),
+                    "cva-v": naive_cva_v(vl, ql, cl, sl, tanh_after_sum, rescale),
+                    "ca": naive_ca_only(vl, ql, cl, rescale),
+                    "ra": naive_ra_only(vl, ql, sl, tanh_after_sum),
+                }
+                for variant, expected in oracles.items():
+                    out, _, _ = A.attend(None, ATTENTION_ORDER[variant], v, mask, q, chan,
+                                         spat, tanh_after_sum=tanh_after_sum,
+                                         rescale_channel_gains=rescale)
+                    worst = max(worst,
+                                np.max(np.abs(out.value[0] - np.array(expected[0]))))
     with capsys.disabled():
         report(4, "forward-pass oracle equivalence", worst <= 1e-10,
                f"max deviation {worst:.1e} across 25 instances x 4 pipelines "

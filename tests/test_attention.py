@@ -8,6 +8,7 @@ import pytest
 
 import cubevqa.attention as A
 import cubevqa.tensor as T
+from cubevqa.model import ATTENTION_ORDER
 from cubevqa.tensor import Tape, Tensor
 from helpers import (channel_params_as_lists, naive_ca_only, naive_cva,
                      naive_cva_v, naive_ra_only, spatial_params_as_lists)
@@ -47,6 +48,11 @@ def random_instance(k=4, d=6, hidden=5, seed=0):
 def full_mask(batch, k):
     """The mask of a ``(batch, k, D)`` map whose every row is a region."""
     return A.RegionMask(np.full(batch, k), k)
+
+
+def attend(variant, v, mask, q, chan, spat, **kw):
+    """The tapeless pipeline of one variant."""
+    return A.attend(None, ATTENTION_ORDER[variant], v, mask, q, chan, spat, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +123,21 @@ def test_channel_attention_full_scale_shapes():
 # applying weights
 
 
-def test_apply_channel_weights_uniform_and_annihilation():
+def test_channel_modulation_uniform_and_annihilation():
     v = Tensor(np.array([[[2.0, 4.0]]]))
     npt.assert_array_equal(
-        A.apply_channel_weights(None, Tensor(np.array([[0.5, 0.5]])), v).value[0],
+        T.mul_vec(None, v, Tensor(np.array([[0.5, 0.5]]))).value[0],
         [[1.0, 2.0]])
     npt.assert_array_equal(
-        A.apply_channel_weights(None, Tensor(np.array([[1.0, 0.0]])), v).value[0],
+        T.mul_vec(None, v, Tensor(np.array([[1.0, 0.0]]))).value[0],
         [[2.0, 0.0]])
 
 
-def test_apply_channel_weights_matches_double_loop():
+def test_channel_modulation_matches_double_loop():
     rng = np.random.default_rng(9)
     v = rng.standard_normal((1, 4, 6))
     beta = rng.uniform(0, 1, (1, 6))
-    out = A.apply_channel_weights(None, Tensor(beta), Tensor(v)).value
+    out = T.mul_vec(None, Tensor(v), Tensor(beta)).value
     for i in range(4):
         for j in range(6):
             assert out[0, i, j] == pytest.approx(beta[0, j] * v[0, i, j], abs=1e-15)
@@ -230,13 +236,12 @@ def test_cva_zero_params_literal_prefactors():
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=24)
     mask = full_mask(1, k)
-    out, beta, eta = A.cva_forward(None, v, mask, q, chan, spat,
-                                   rescale_channel_gains=False)
+    out, beta, eta = attend("cva", v, mask, q, chan, spat, rescale_channel_gains=False)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / (k * d), atol=1e-14)
     npt.assert_allclose(beta.value[0], np.full(d, 1 / d), atol=1e-15)
     npt.assert_allclose(eta.value[0], np.full(k, 1 / k), atol=1e-15)
     # mean-one gains: uniform channel attention passes the map through
-    out, _, _ = A.cva_forward(None, v, mask, q, chan, spat)
+    out, _, _ = attend("cva", v, mask, q, chan, spat)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
@@ -246,9 +251,9 @@ def test_cva_v_zero_params_literal_prefactors():
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=25)
     mask = full_mask(1, k)
-    out, _, _ = A.cva_v_forward(None, v, mask, q, chan, spat, rescale_channel_gains=False)
+    out, _, _ = attend("cva-v", v, mask, q, chan, spat, rescale_channel_gains=False)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / (k * d), atol=1e-14)
-    out, _, _ = A.cva_v_forward(None, v, mask, q, chan, spat)
+    out, _, _ = attend("cva-v", v, mask, q, chan, spat)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
@@ -257,9 +262,9 @@ def test_ca_only_zero_params_mean_over_d():
     chan = chan_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=26)
     mask = full_mask(1, k)
-    out, _, _ = A.ca_only_forward(None, v, mask, q, chan, rescale_channel_gains=False)
+    out, _, _ = attend("ca", v, mask, q, chan, None, rescale_channel_gains=False)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / d, atol=1e-14)
-    out, _, _ = A.ca_only_forward(None, v, mask, q, chan)
+    out, _, _ = attend("ca", v, mask, q, chan, None)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0), atol=1e-14)
 
 
@@ -267,7 +272,7 @@ def test_ra_only_zero_params_mean_over_k():
     k, d = 5, 8
     spat = spat_params(d, 3, 5, zero=True)
     v, q = random_instance(k=k, d=d, hidden=5, seed=27)
-    out, _, _ = A.ra_only_forward(None, v, full_mask(1, k), q, spat)
+    out, _, _ = attend("ra", v, full_mask(1, k), q, None, spat)
     npt.assert_allclose(out.value[0], v.value[0].mean(axis=0) / k, atol=1e-14)
 
 
@@ -278,10 +283,8 @@ def test_all_pipelines_output_length_d_for_any_k():
     for k in (1, 4, 36):
         v, q = random_instance(k=k, d=d, hidden=hidden, seed=29)
         mask = full_mask(1, k)
-        for out, _, _ in (A.cva_forward(None, v, mask, q, chan, spat),
-                       A.cva_v_forward(None, v, mask, q, chan, spat),
-                       A.ca_only_forward(None, v, mask, q, chan),
-                       A.ra_only_forward(None, v, mask, q, spat)):
+        for variant in ATTENTION_ORDER:
+            out, _, _ = attend(variant, v, mask, q, chan, spat)
             assert out.value.shape == (1, d)
 
 
@@ -290,7 +293,7 @@ def test_cva_v_single_region_trivial_spatial():
     chan = chan_params(d, 3, 5, seed=30)
     spat = spat_params(d, 3, 5, seed=30)
     v, q = random_instance(k=1, d=d, hidden=5, seed=31)
-    _, _, eta = A.cva_v_forward(None, v, full_mask(1, 1), q, chan, spat)
+    _, _, eta = attend("cva-v", v, full_mask(1, 1), q, chan, spat)
     npt.assert_allclose(eta.value[0], [1.0], atol=1e-15)
 
 
@@ -301,9 +304,9 @@ def test_ca_equals_cva_with_uniform_spatial_stage():
     chan = chan_params(d, 3, 5, seed=32)
     v, q = random_instance(k=4, d=d, hidden=5, seed=33)
     mask = full_mask(1, 4)
-    ca_out, beta, _ = A.ca_only_forward(None, v, mask, q, chan)
+    ca_out, beta, _ = attend("ca", v, mask, q, chan, None)
     gains = A._channel_gains(None, beta, rescale=True)
-    modulated = A.apply_channel_weights(None, gains, v)
+    modulated = T.mul_vec(None, v, gains)
     npt.assert_allclose(ca_out.value,
                         T.mean_over_rows(None, modulated, mask.counts).value, atol=1e-15)
 
@@ -313,12 +316,12 @@ def test_ra_only_region_permutation_invariant_output():
     spat = spat_params(d, 3, 5, seed=34)
     v, q = random_instance(k=5, d=d, hidden=5, seed=35)
     mask = full_mask(1, 5)
-    base, _, _ = A.ra_only_forward(None, v, mask, q, spat, tanh_after_sum=True)
+    base, _, _ = attend("ra", v, mask, q, None, spat, tanh_after_sum=True)
     rng = np.random.default_rng(36)
     for _ in range(5):
         perm = rng.permutation(5)
-        out, _, _ = A.ra_only_forward(None, Tensor(v.value[:, perm]), mask, q, spat,
-                                      tanh_after_sum=True)
+        out, _, _ = attend("ra", Tensor(v.value[:, perm]), mask, q, None, spat,
+                           tanh_after_sum=True)
         npt.assert_allclose(out.value, base.value, atol=1e-12)
 
 
@@ -342,25 +345,24 @@ def test_pipelines_match_scalar_loop_oracle(tanh_after_sum, rescale):
         vl, ql = v.value[0].tolist(), q.value[0].tolist()
         cl, sl = channel_params_as_lists(chan), spatial_params_as_lists(spat)
 
-        out, beta, eta = A.cva_forward(None, v, mask, q, chan, spat,
-                                       tanh_after_sum=tanh_after_sum,
-                                       rescale_channel_gains=rescale)
+        out, beta, eta = attend("cva", v, mask, q, chan, spat,
+                                tanh_after_sum=tanh_after_sum,
+                                rescale_channel_gains=rescale)
         exp, exp_beta, exp_eta = naive_cva(vl, ql, cl, sl, tanh_after_sum, rescale)
         npt.assert_allclose(out.value[0], exp, atol=1e-10)
         npt.assert_allclose(beta.value[0], exp_beta, atol=1e-10)
         npt.assert_allclose(eta.value[0], exp_eta, atol=1e-10)
 
-        out, _, _ = A.cva_v_forward(None, v, mask, q, chan, spat,
-                                    tanh_after_sum=tanh_after_sum,
-                                    rescale_channel_gains=rescale)
+        out, _, _ = attend("cva-v", v, mask, q, chan, spat,
+                           tanh_after_sum=tanh_after_sum, rescale_channel_gains=rescale)
         exp, _, _ = naive_cva_v(vl, ql, cl, sl, tanh_after_sum, rescale)
         npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
-        out, _, _ = A.ca_only_forward(None, v, mask, q, chan, rescale_channel_gains=rescale)
+        out, _, _ = attend("ca", v, mask, q, chan, None, rescale_channel_gains=rescale)
         exp, _ = naive_ca_only(vl, ql, cl, rescale)
         npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
-        out, _, _ = A.ra_only_forward(None, v, mask, q, spat, tanh_after_sum=tanh_after_sum)
+        out, _, _ = attend("ra", v, mask, q, None, spat, tanh_after_sum=tanh_after_sum)
         exp, _ = naive_ra_only(vl, ql, sl, tanh_after_sum)
         npt.assert_allclose(out.value[0], exp, atol=1e-10)
 
@@ -377,18 +379,16 @@ def test_batched_pipelines_match_per_example():
     vs = rng.uniform(-1, 1, (batch, k, d))
     qs = rng.uniform(-1, 1, (batch, hidden))
     pipelines = {
-        "cva": lambda v, m, q: A.cva_forward(None, v, m, q, chan, spat,
-                                             tanh_after_sum=True),
-        "cva-v": lambda v, m, q: A.cva_v_forward(None, v, m, q, chan, spat,
-                                                 tanh_after_sum=True),
-        "ca": lambda v, m, q: A.ca_only_forward(None, v, m, q, chan),
-        "ra": lambda v, m, q: A.ra_only_forward(None, v, m, q, spat),
+        "cva": dict(tanh_after_sum=True), "cva-v": dict(tanh_after_sum=True),
+        "ca": {}, "ra": {},
     }
-    for fn in pipelines.values():
-        batched, _, _ = fn(Tensor(vs), full_mask(batch, k), Tensor(qs))
+    for variant, kw in pipelines.items():
+        batched, _, _ = attend(variant, Tensor(vs), full_mask(batch, k), Tensor(qs),
+                               chan, spat, **kw)
         for i in range(batch):
             # each example alone is the batch's own slice, a batch of one
-            single, _, _ = fn(Tensor(vs[i:i + 1]), full_mask(1, k), Tensor(qs[i:i + 1]))
+            single, _, _ = attend(variant, Tensor(vs[i:i + 1]), full_mask(1, k),
+                                  Tensor(qs[i:i + 1]), chan, spat, **kw)
             npt.assert_allclose(batched.value[i], single.value[0], atol=1e-13)
 
 
@@ -414,17 +414,8 @@ def test_pipeline_gradients_match_finite_differences(pipeline, tanh_after_sum):
             SimpleNamespace(**{n: Tensor(arrays[f"{prefix}.{n}"]) for n in vars(params)})
             for prefix, params in (("chan", chan), ("spat", spat)))
         v, q = Tensor(v_val), Tensor(q_val)
-        if pipeline == "cva":
-            out, _, _ = A.cva_forward(tape, v, mask, q, fresh_chan, fresh_spat,
-                                      tanh_after_sum=tanh_after_sum)
-        elif pipeline == "cva-v":
-            out, _, _ = A.cva_v_forward(tape, v, mask, q, fresh_chan, fresh_spat,
-                                        tanh_after_sum=tanh_after_sum)
-        elif pipeline == "ca":
-            out, _, _ = A.ca_only_forward(tape, v, mask, q, fresh_chan)
-        else:
-            out, _, _ = A.ra_only_forward(tape, v, mask, q, fresh_spat,
-                                          tanh_after_sum=tanh_after_sum)
+        out, _, _ = A.attend(tape, ATTENTION_ORDER[pipeline], v, mask, q, fresh_chan,
+                             fresh_spat, tanh_after_sum=tanh_after_sum)
         err = T.add(tape, out, T.scale(tape, Tensor(target), -1.0))
         loss = T.mean_all(tape, T.mul(tape, err, err))
         return loss, fresh_chan, fresh_spat

@@ -241,8 +241,12 @@ def test_example_lines_validation(tmp_path):
     path = str(tmp_path / "bad.txt")
     path_obj = tmp_path / "bad.txt"
     path_obj.write_text("img tok\tred,red\t0\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="expected 10 answers"):
         load_examples(path)
+    for head in ("img", " "):
+        path_obj.write_text(head + "\t" + ",".join(["red"] * 10) + "\t0\n")
+        with pytest.raises(FormatError, match="expected image id and question tokens"):
+            load_examples(path)
     path_obj.write_text("img tok\t" + ",".join(["red"] * 10) + "\tx\n")
     with pytest.raises(FormatError):
         load_examples(path)

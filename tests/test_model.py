@@ -1,6 +1,8 @@
 """Model assembly: variants, initialization sharing, batched equivalence."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -11,8 +13,8 @@ import pytest
 
 import cubevqa
 import cubevqa.tensor as T
-from cubevqa.model import (Batch, DIMENSION_PROFILES, STAGE_OF_GROUP, ModelConfig,
-                           VqaModel, canonical_variant)
+from cubevqa.model import (Batch, DIMENSION_PROFILES, STAGE_OF_GROUP, VARIANT_ALIASES,
+                           VARIANTS, ModelConfig, VqaModel, canonical_variant)
 from cubevqa.tensor import InvalidArgumentError
 from cubevqa.training import substream
 
@@ -70,6 +72,10 @@ def test_groups_hold_every_leaf_once(variant):
             assert leaves[f"{group}.{attr}"] is leaf
             seen.append(f"{group}.{attr}")
     assert sorted(seen) == sorted(leaves)
+    # the store registers groups in one order whatever the attention order,
+    # so a variant's arena and checkpoint layout do not depend on it
+    prefixes = [name.partition(".")[0] for name in model.store.names()]
+    assert prefixes == sorted(prefixes, key=list(STAGE_OF_GROUP).index)
 
 
 def test_variants_share_initialization_per_name():
@@ -300,6 +306,67 @@ def test_desk_cva_step_never_holds_the_joint_channel_map(monkeypatch):
     for node in tape._nodes:
         assert node.value.size < joint
         assert node.grad is None or node.grad.size < joint
+
+
+# the primitives one training step records, in order, as the hand-written
+# pipeline of each variant recorded them before ``attention.attend``
+RECORDED_PRIMITIVES = {
+    "ca": ("embedding_lookup", "affine", "gru",
+           "mean_over_rows", "mul_vec", "add_vec", "affine", "channel_scores",
+           "add_scalar", "softmax", "scale", "add", "mul_vec", "mean_over_rows",
+           "affine", "affine", "add", "tanh", "mul", "affine", "cross_entropy",
+           "mean_all"),
+    "ra": ("embedding_lookup", "affine", "gru",
+           "affine", "affine", "add_vec", "tanh", "matvec_last", "add_scalar",
+           "softmax", "weighted_row_sum",
+           "affine", "affine", "add", "tanh", "mul", "affine", "cross_entropy",
+           "mean_all"),
+    "cva": ("embedding_lookup", "affine", "gru",
+            "mean_over_rows", "mul_vec", "add_vec", "affine", "channel_scores",
+            "add_scalar", "softmax", "scale", "add", "mul_vec",
+            "affine", "affine", "add_vec", "tanh", "matvec_last", "add_scalar",
+            "softmax", "weighted_row_sum",
+            "affine", "affine", "add", "tanh", "mul", "affine", "cross_entropy",
+            "mean_all"),
+    "cva-v": ("embedding_lookup", "affine", "gru",
+              "affine", "affine", "add_vec", "tanh", "matvec_last", "add_scalar",
+              "softmax", "scale_rows",
+              "mean_over_rows", "mul_vec", "add_vec", "affine", "channel_scores",
+              "add_scalar", "softmax", "scale", "add", "mul_vec", "mean_over_rows",
+              "affine", "affine", "add", "tanh", "mul", "affine", "cross_entropy",
+              "mean_all"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(RECORDED_PRIMITIVES))
+def test_training_step_records_the_variant_primitive_sequence(monkeypatch, variant):
+    # the same primitives in the same order give bit-identical training
+    model = VqaModel(desk_config(variant), seed=0)
+    tapes = []
+
+    class RecordingTape(T.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(T, "Tape", RecordingTape)
+    model.train_step_forward_backward([make_batch(model.config)], dropout_rate=0.5,
+                                      dropout_rng=substream(0, "dropout"))
+    (tape,) = tapes
+    assert ([node._backward.__qualname__ for node in tape._nodes]
+            == [f"{op}.<locals>.backward" for op in RECORDED_PRIMITIVES[variant]])
+
+
+def test_only_the_model_module_spells_a_variant_name():
+    # which stages a variant runs is decided in model.ATTENTION_ORDER alone
+    names = set(VARIANTS) | set(VARIANT_ALIASES)
+    assert names >= {"ca", "ra", "cva", "cva-v"}
+    package = pathlib.Path(cubevqa.__file__).parent
+    spelled = [(path.name, node.lineno, node.value)
+               for path in sorted(package.glob("*.py")) if path.name != "model.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and node.value in names]
+    assert spelled == []
 
 
 def test_dimension_profiles():

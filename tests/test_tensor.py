@@ -87,7 +87,8 @@ def _channel_scores_oracle(vis, query, w, g):
     ((130, 32), (130, 64)),   # 128 examples fill a tile, then a short tile of 2
     ((2, 300), (2, 1024)),    # each example splits into 256 channels and a short 44
     ((1, 6), (1, 4)),         # a single example, a batch of one
-], ids=["examples-per-tile", "channels-per-tile", "single-example"])
+    ((2, 3), (2, T.SCORE_TILE + 1)),  # one channel of one example overfills a tile
+], ids=["examples-per-tile", "channels-per-tile", "single-example", "wider-than-a-tile"])
 def test_channel_scores_match_numpy_composition(vis_shape, query_shape):
     rng = np.random.default_rng(vis_shape[0])
     vis, query = rng.standard_normal(vis_shape), rng.standard_normal(query_shape)
@@ -115,6 +116,27 @@ def test_channel_scores_forward_is_the_broadcast_composition_bit_for_bit(vis_sha
     out = T.channel_scores(None, leaf(vis), leaf(query), leaf(w))
     npt.assert_array_equal(out.value,
                            np.matmul(np.tanh(vis[:, :, None] * query[:, None, :]), w))
+
+
+def test_score_tiles_at_the_desk_and_full_shapes():
+    assert T._score_tiles(16, 32, 64) == [(slice(0, 16), slice(0, 32))]
+    assert T._score_tiles(32, 2048, 1024) == [(slice(b, b + 1), slice(d0, d0 + 256))
+                                              for b in range(32) for d0 in range(0, 2048, 256)]
+
+
+@pytest.mark.parametrize("shape", [
+    (16, 32, 64), (130, 32, 64), (2, 300, 1024), (1, 6, 4), (3, 5, 7), (7, 1, 3),
+    (5, 1, T.SCORE_TILE // 2 + 1), (3, 2, T.SCORE_TILE), (2, 3, T.SCORE_TILE + 1),
+    (1, 1, 3 * T.SCORE_TILE)])
+def test_score_tiles_cover_each_row_once_within_a_tile(shape):
+    batch, channels, width = shape
+    covered = np.zeros((batch, channels), dtype=int)
+    for rows, cols in T._score_tiles(batch, channels, width):
+        cells = covered[rows, cols].size
+        # a tile is never smaller than one (example, channel) row
+        assert cells > 0 and (cells * width <= T.SCORE_TILE or cells == 1)
+        covered[rows, cols] += 1
+    assert (covered == 1).all()
 
 
 def test_channel_scores_rejects_bad_shapes():
@@ -416,8 +438,7 @@ def test_region_mask_and_row_counts_have_no_default():
                   if fn.__module__ == A.__name__
                   and "mask" in inspect.signature(fn).parameters}
     assert {"channel_mean_pool", "spatial_attention", "apply_spatial_weights",
-            "cva_forward", "cva_v_forward", "ca_only_forward",
-            "ra_only_forward"} <= set(takes_mask)
+            "attend"} <= set(takes_mask)
     with_default = [name for name, param in takes_mask.items()
                     if param.default is not inspect.Parameter.empty]
     for fn, name in ((T.mean_over_rows, "counts"), (T.weighted_row_sum, "prefactor")):
