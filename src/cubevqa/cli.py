@@ -394,10 +394,11 @@ def cmd_gradcheck(args):
     # each cell is an independent deterministic job; results are aggregated
     # in the fixed cell order, so parallel execution changes nothing
     results = None
-    if len(cells) > 1 and (os.cpu_count() or 1) > 1:
+    workers = min(T.USABLE_CORES, len(cells))
+    if workers > 1:
         try:
             import concurrent.futures
-            with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_gradcheck_cell, cells))
         except (OSError, ImportError):
             results = None

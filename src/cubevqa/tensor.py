@@ -19,11 +19,61 @@ the batched shapes their docstrings name. The elementwise primitives,
 trailing axes, whatever axes lead. No other broadcasting exists; the
 two sanctioned broadcast forms are ``add_vec``/``mul_vec`` (a vector
 combined across the rows of a matrix) and ``add_scalar``.
+
+Two loops use every core this process may run on (``USABLE_CORES``, read
+once from its CPU affinity): the tiles of ``channel_scores``, forward and
+backward, and the chunks of ``training.adam_step``. ``run_on_cores`` splits
+such a loop into one contiguous run per core and joins its threads before it
+returns; every run writes its own slices, and sums across runs are formed in
+item order, so results are bit-identical at any core count. ``taskset -c 0``
+gives a serial run with the same bits (at the same BLAS thread count, which
+is the environment's to set).
 """
+
+import os
+import threading
 
 import numpy as np
 
 DTYPE = np.dtype(np.float64)
+
+
+# the cores this process may run on, not the host's: ``taskset`` narrows it
+USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+
+
+def run_on_cores(items, work):
+    """``[work(i, run_i)]`` for contiguous runs of ``items``, one per usable core.
+
+    The first run goes on the calling thread, each other run on a thread
+    started and joined within this call (no pool outlives it, so a forked
+    child inherits none). The results come back in run order; the first
+    exception of any run, in run order, is raised here once all have ended.
+    With one item or one core, ``work(0, items)`` is called directly.
+    """
+    count = min(USABLE_CORES, len(items))
+    if count <= 1:
+        return [work(0, items)]
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    results, errors = [None] * count, [None] * count
+
+    def run(i):
+        try:
+            results[i] = work(i, items[bounds[i]:bounds[i + 1]])
+        except BaseException as exc:   # re-raised on the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 class ShapeError(ValueError):
@@ -82,8 +132,10 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Single-writer: a tape belongs to one logical training thread, and
-    ``backward`` may run at most once. Every node on it carries a backward
-    rule; a tapeless forward (``tape=None``, see ``_make``) records nothing.
+    ``backward`` may run at most once. A primitive may split its own loop
+    over cores (``run_on_cores``), but it records and accumulates on that
+    thread. Every node on it carries a backward rule; a tapeless forward
+    (``tape=None``, see ``_make``) records nothing.
     """
 
     def __init__(self):
@@ -330,7 +382,11 @@ def channel_scores(tape, vis, query, w):
     ``vis`` is ``(B, D)``, ``query`` ``(B, h)`` and ``w`` ``(h,)``. The joint
     ``(B, D, h)`` tanh map is worked through in tiles of at most
     ``SCORE_TILE`` entries and never stored: the backward recomputes each
-    tile's tanh in one scratch buffer.
+    tile's tanh. The tiles are split over the usable cores (``run_on_cores``),
+    each run with its own scratch buffer; a run writes disjoint slices of the
+    value and of the ``vis`` gradient, and the ``query`` and ``w`` gradients
+    add each tile's part in tile order, so every bit is the same at any core
+    count.
     """
     vv, qv, wv = vis.value, query.value, w.value
     if (vv.ndim != 2 or qv.ndim != 2 or vv.shape[0] != qv.shape[0]
@@ -351,26 +407,38 @@ def channel_scores(tape, vis, query, w):
         np.einsum("bd,bj->bdj", vt, qt, out=buf)
         return np.tanh(buf, out=buf)
 
-    scratch = np.empty(scratch_size)
     value = np.empty(vv.shape)
-    for rows, cols in tiles:
-        t = tanh_tile(scratch, rows, cols)
-        value[rows, cols] = np.matmul(t, wv)
+
+    def forward_run(_, run):
+        scratch = np.empty(scratch_size)
+        for rows, cols in run:
+            value[rows, cols] = np.matmul(tanh_tile(scratch, rows, cols), wv)
+
+    run_on_cores(tiles, forward_run)
 
     def backward(g):
         wq = qv * wv   # w[j] q[j], the query side of d vis
         gv = g * vv    # g[d] vis[d], the visual side of d query
         d_vis = np.empty(vv.shape)
+
+        def backward_run(_, run):
+            scratch = np.empty(scratch_size)
+            parts = []   # each tile's (d_w, d_query rows) part
+            for rows, cols in run:
+                t = tanh_tile(scratch, rows, cols)
+                part_w = g[rows, cols].reshape(-1) @ t.reshape(-1, width)
+                np.multiply(t, t, out=t)
+                u = np.subtract(1.0, t, out=t)   # tanh' of the tile
+                d_vis[rows, cols] = g[rows, cols] * np.matmul(u, wq[rows, :, None])[..., 0]
+                parts.append((part_w, np.matmul(gv[rows, None, cols], u)[:, 0, :]))
+            return parts
+
         d_query = np.zeros(qv.shape)
         d_w = np.zeros(width)
-        scratch = np.empty(scratch_size)
-        for rows, cols in tiles:
-            t = tanh_tile(scratch, rows, cols)
-            d_w += g[rows, cols].reshape(-1) @ t.reshape(-1, width)
-            np.multiply(t, t, out=t)
-            u = np.subtract(1.0, t, out=t)   # tanh' of the tile
-            d_vis[rows, cols] = g[rows, cols] * np.matmul(u, wq[rows, :, None])[..., 0]
-            d_query[rows] += np.matmul(gv[rows, None, cols], u)[:, 0, :]
+        runs = run_on_cores(tiles, backward_run)
+        for (rows, _), (part_w, part_query) in zip(tiles, (p for r in runs for p in r)):
+            d_w += part_w
+            d_query[rows] += part_query
         _accum(vis, d_vis)
         _accum(query, d_query * wv)
         _accum(w, d_w)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import InvalidArgumentError, ShapeError
 
 
@@ -83,7 +84,9 @@ class ParameterStore:
 
     The store keeps four contiguous float64 vectors (values, gradients, first
     and second Adam moments), allocated once from the complete ordered
-    mapping of initial values, and the optimizer's one-chunk scratch. Each
+    mapping of initial values, and the optimizer's scratch: one chunk-long
+    row per core its chunks are split over, ``min(USABLE_CORES, chunks)``
+    rows, so a one-chunk (desk-scale) arena keeps exactly one. Each
     ``Param``'s arrays are views into them and are never rebound, so leaf
     tensors, checkpoint restores and in-place probes that hold a reference
     keep seeing the live parameter, and the optimizer updates every parameter
@@ -100,7 +103,8 @@ class ParameterStore:
         self.flat_v = np.zeros(total)
         # allocated with the arena: a fresh one per step would be mapped and
         # unmapped every step, being above the allocator's mmap threshold
-        self.adam_scratch = np.empty(min(total, _ADAM_CHUNK))
+        runs = min(T.USABLE_CORES, math.ceil(total / _ADAM_CHUNK))
+        self.adam_scratch = np.empty((runs, min(total, _ADAM_CHUNK)))
         self._params = {}
         self._spans = {}
         offset = 0
@@ -161,9 +165,12 @@ def clip_gradients(store, max_norm):
 def adam_step(store, config, grad_norm=None):
     """One Adam update with bias correction; zeroes gradients afterwards.
 
-    Works in place on the arena, one chunk at a time. The elementwise
-    operations and their order match the textbook per-array form exactly;
-    each gradient chunk doubles as scratch once the moments have consumed it.
+    Works in place on the arena, one chunk at a time, the chunks split over
+    the usable cores (``tensor.run_on_cores``), each run with its own row of
+    the store's scratch. The elementwise operations and their order match
+    the textbook per-array form exactly, so the bits do not depend on the
+    core count; each gradient chunk doubles as scratch once the moments have
+    consumed it.
 
     A non-finite gradient is refused, naming its parameter. ``grad_norm`` is
     what ``clip_gradients`` returned for these gradients: when it is finite,
@@ -178,25 +185,29 @@ def adam_step(store, config, grad_norm=None):
     b1, b2 = config.beta1, config.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    for start in range(0, store.flat_grad.size, _ADAM_CHUNK):
-        span = slice(start, start + _ADAM_CHUNK)
-        g, m, v = store.flat_grad[span], store.flat_m[span], store.flat_v[span]
-        s = store.adam_scratch[:g.size]
-        np.multiply(g, 1.0 - b1, out=s)
-        m *= b1
-        m += s
-        np.multiply(g, g, out=s)
-        s *= 1.0 - b2
-        v *= b2
-        v += s
-        np.divide(m, bias1, out=s)
-        s *= config.learning_rate
-        np.divide(v, bias2, out=g)
-        np.sqrt(g, out=g)
-        g += config.eps
-        s /= g
-        store.flat_value[span] -= s
-        g.fill(0.0)
+
+    def update(run_index, starts):
+        for start in starts:
+            span = slice(start, start + _ADAM_CHUNK)
+            g, m, v = store.flat_grad[span], store.flat_m[span], store.flat_v[span]
+            s = store.adam_scratch[run_index, :g.size]
+            np.multiply(g, 1.0 - b1, out=s)
+            m *= b1
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - b2
+            v *= b2
+            v += s
+            np.divide(m, bias1, out=s)
+            s *= config.learning_rate
+            np.divide(v, bias2, out=g)
+            np.sqrt(g, out=g)
+            g += config.eps
+            s /= g
+            store.flat_value[span] -= s
+            g.fill(0.0)
+
+    T.run_on_cores(range(0, store.flat_grad.size, _ADAM_CHUNK), update)
 
 
 def dropout_mask(shape, rate, rng):

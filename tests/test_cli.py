@@ -535,6 +535,18 @@ def test_gradcheck_repeatable(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_gradcheck_pool_forks_after_a_multi_tile_channel_scorer_call(monkeypatch, capsys):
+    # the cores' threads end within each call: a process pool forked later
+    # inherits no worker of the parent's
+    monkeypatch.setattr(T, "USABLE_CORES", 2)
+    rng = np.random.default_rng(0)
+    vis, query = rng.standard_normal((3, 300)), rng.standard_normal((3, 1024))
+    assert len(T._score_tiles(3, 300, 1024)) > 1
+    T.channel_scores(None, T.Tensor(vis), T.Tensor(query), T.Tensor(np.ones(1024)))
+    assert run(["gradcheck", "--variant", "ca", "--seeds", "2", "--seed", "0"]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
 def test_gradcheck_stage_probes_match_full_reevaluation(variant, literal):

@@ -5,6 +5,8 @@ import inspect
 import math
 import pathlib
 import re
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -116,6 +118,73 @@ def test_channel_scores_forward_is_the_broadcast_composition_bit_for_bit(vis_sha
     out = T.channel_scores(None, leaf(vis), leaf(query), leaf(w))
     npt.assert_array_equal(out.value,
                            np.matmul(np.tanh(vis[:, :, None] * query[:, None, :]), w))
+
+
+@pytest.mark.parametrize("vis_shape,query_shape", [
+    ((3, 300), (3, 1024)),               # two tiles per example, six in all
+    ((2, 3), (2, T.SCORE_TILE + 1)),     # one channel of one example per tile
+], ids=["channels-per-tile", "wider-than-a-tile"])
+def test_channel_scores_are_bit_identical_at_any_core_count(monkeypatch, vis_shape,
+                                                             query_shape):
+    assert len(T._score_tiles(vis_shape[0], vis_shape[1], query_shape[1])) > 1
+    rng = np.random.default_rng(vis_shape[1])
+    vis, query = rng.standard_normal(vis_shape), rng.standard_normal(query_shape)
+    w, g = rng.standard_normal(query_shape[-1]), rng.standard_normal(vis_shape)
+    results = []
+    # more runs than this machine's cores, switching threads every microsecond
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 3, 8):
+            monkeypatch.setattr(T, "USABLE_CORES", cores)
+            tape = Tape()
+            leaves = leaf(vis), leaf(query), leaf(w)
+            out = T.channel_scores(tape, *leaves)
+            tape.backward(T.mean_all(tape, T.mul(tape, out, constant(g))))
+            results.append((out.value,) + tuple(l.grad for l in leaves))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results[1:]:
+        for a, b in zip(got, results[0]):
+            npt.assert_array_equal(a, b)
+
+
+def test_run_on_cores_splits_into_contiguous_runs_in_order(monkeypatch):
+    monkeypatch.setattr(T, "USABLE_CORES", 3)
+    assert T.run_on_cores(list(range(7)), lambda i, run: (i, run)) == [
+        (0, [0, 1]), (1, [2, 3]), (2, [4, 5, 6])]
+    # fewer items than cores: one run per item
+    assert T.run_on_cores(range(2), lambda i, run: list(run)) == [[0], [1]]
+
+
+@pytest.mark.parametrize("cores,items", [(1, 5), (2, 1), (3, 1)])
+def test_run_on_cores_calls_work_directly_with_one_core_or_item(monkeypatch, cores, items):
+    monkeypatch.setattr(T, "USABLE_CORES", cores)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(T.threading, "Thread", no_thread)
+    caller = threading.current_thread()
+    assert T.run_on_cores(list(range(items)), lambda i, run: (
+        i, run, threading.current_thread() is caller)) == [(0, list(range(items)), True)]
+
+
+def test_run_on_cores_raises_a_failed_run_on_the_caller_and_joins(monkeypatch):
+    monkeypatch.setattr(T, "USABLE_CORES", 3)
+    threads = threading.active_count()
+    ran = []
+
+    def work(i, run):
+        ran.append(i)
+        if i == 1:
+            raise KeyError("second run")
+        return run
+
+    with pytest.raises(KeyError, match="second run"):
+        T.run_on_cores(list(range(6)), work)
+    assert sorted(ran) == [0, 1, 2]
+    assert threading.active_count() == threads
 
 
 def test_score_tiles_at_the_desk_and_full_shapes():

@@ -4,12 +4,15 @@ import os
 import re
 import stat
 import struct
+import sys
+import threading
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cubevqa.tensor as T
 import cubevqa.training as TR
 from cubevqa import data
 from cubevqa.model import ModelConfig, VqaModel
@@ -97,6 +100,38 @@ def test_adam_matches_per_array_form_across_chunks():
         npt.assert_array_equal(store[n].m, ref[n][1])
         npt.assert_array_equal(store[n].v, ref[n][2])
         npt.assert_array_equal(store[n].grad, 0.0)
+
+
+def test_adam_is_bit_identical_at_any_core_count(monkeypatch):
+    size = 3 * TR._ADAM_CHUNK + 5
+    results = []
+    # threads switching every microsecond: a scratch row shared between runs
+    # would be overwritten mid-chunk
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 3, 4):
+            monkeypatch.setattr(T, "USABLE_CORES", cores)
+            rng = np.random.default_rng(13)
+            store = ParameterStore({"w": rng.standard_normal(size)})
+            assert store.adam_scratch.shape == (cores, TR._ADAM_CHUNK)
+            for _ in range(10):
+                store.flat_grad[...] = rng.standard_normal(size)
+                adam_step(store, TrainConfig(learning_rate=0.01))
+            results.append((store.flat_value, store.flat_m, store.flat_v))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results[1:]:
+        for a, b in zip(got, results[0]):
+            npt.assert_array_equal(a, b)
+
+
+def test_adam_scratch_has_one_row_per_run(monkeypatch):
+    monkeypatch.setattr(T, "USABLE_CORES", 4)
+    # a one-chunk (desk-scale) arena keeps one row, however many cores
+    assert small_store().adam_scratch.shape == (1, 11)
+    two_chunks = ParameterStore({"w": np.zeros(TR._ADAM_CHUNK + 1)})
+    assert two_chunks.adam_scratch.shape == (2, TR._ADAM_CHUNK)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +329,30 @@ def test_train_epoch_refuses_a_non_finite_gradient_naming_its_parameter(monkeypa
         TR.train_epoch(model, prepared, TrainConfig(batch_size=8, dropout=0.0), epoch=0)
     assert "'spat.w_score'" in str(err.value)
     assert model.store.step == 0
+
+
+def test_training_step_at_a_multi_tile_shape_leaves_no_thread_running(monkeypatch):
+    bundle = data.generate_toy_dataset("mixed", 8, 4, 1024, seed=0)
+    prepared = data.prepare_dataset(bundle.container, bundle.examples,
+                                    bundle.question_vocab, bundle.answer_vocab)
+    model_config = ModelConfig.from_profile(
+        "desk", variant="cva", vocab_size=len(bundle.question_vocab),
+        num_answers=len(bundle.answer_vocab), feat_dim=1024)
+    assert len(T._score_tiles(8, 1024, model_config.attn_dim)) > 1
+    monkeypatch.setattr(T, "USABLE_CORES", 2)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(T.threading, "Thread", Recorded)
+    threads = threading.active_count()
+    model = VqaModel(model_config, seed=0)
+    TR.train_epoch(model, prepared, TrainConfig(batch_size=8, dropout=0.0), epoch=0)
+    assert started and not any(t.is_alive() for t in started)
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
