@@ -1,9 +1,10 @@
 """Channel- and region-attention models for visual question answering.
 
-Subpackages: ``tensor`` (autodiff core), ``encoder`` (GRU question
-encoding), ``attention`` (the four pipelines), ``classifier``, ``training``
-(Adam/clipping/dropout/checkpoints), ``data`` (containers and toy tasks),
-``metrics`` (accuracy and Wu-Palmer scores), ``cli``.
+Modules: ``tensor`` (autodiff core), ``encoder`` (GRU question encoding),
+``attention`` (the one ``attend`` pipeline), ``model`` (the four variants),
+``classifier``, ``training`` (Adam/clipping/dropout/checkpoints), ``data``
+(containers and toy tasks), ``metrics`` (accuracy and Wu-Palmer scores),
+``cli``.
 """
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ run seed through named sub-streams. Exit codes: 0 success, 1 usage error,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,12 +67,9 @@ def cmd_synth(args):
                                             args.k, args.d, args.seed, split="test")
     # the test split reuses the training vocabularies
     data.assign_labels(test_bundle.examples, train_bundle.answer_vocab)
-    merged = data.FeatureContainer()
-    for image_id, feats in train_bundle.container.records.items():
-        merged.add(image_id, feats)
     for image_id, feats in test_bundle.container.records.items():
-        merged.add(image_id, feats)
-    data.write_features(merged, os.path.join(out, "features.cvaf"))
+        train_bundle.container.add(image_id, feats)
+    data.write_features(train_bundle.container, os.path.join(out, "features.cvaf"))
     data.write_examples(train_bundle.examples, os.path.join(out, "train.txt"))
     data.write_examples(test_bundle.examples, os.path.join(out, "test.txt"))
     data.write_vocab(train_bundle.question_vocab, os.path.join(out, "question_vocab.txt"))
@@ -122,13 +120,10 @@ def _model_config(variant, train_set, config, literal_spatial=False):
 
 
 def _fit(vqa_model, train_set, config, log=None, start_epoch=0):
-    history = []
     for epoch in range(start_epoch, config.epochs):
         loss, acc = training.train_epoch(vqa_model, train_set, config, epoch)
-        history.append((epoch, loss, acc))
         if log:
             log(f"epoch {epoch:3d}  loss {loss:.6f}  train_acc {acc:.4f}")
-    return history
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +300,7 @@ def ablation_table(results, dataset_names):
     """Render mean +/- stdev per variant and dataset as text and CSV."""
     text_lines = [f"{'variant':<8}" + "".join(f"{name:>22}" for name in dataset_names)]
     csv_lines = ["variant,dataset,mean,stdev,seeds"]
-    for variant in model.VARIANTS:
+    for variant in results:
         label = VARIANT_LABELS[variant]
         cells = []
         for name in dataset_names:
@@ -351,13 +346,11 @@ def gradcheck_instance(variant, seed, literal_spatial=False):
     features = rng.uniform(-1.0, 1.0, size=(4, 8))
     token_ids = rng.integers(0, config.vocab_size, size=3)
     label = int(rng.integers(0, config.num_answers))
-    batch = Batch(features=features[None], token_ids=token_ids[None],
-                  lengths=np.array([token_ids.size]), labels=np.array([label]))
-    return vqa_model, batch
+    return vqa_model, Batch.of_one(features, token_ids, label)
 
 
 def gradcheck_model(variant, seed, literal_spatial=False):
-    """Finite-difference check of one tiny random instance.
+    """Finite-difference check of a training step's gradients on a tiny instance.
 
     Returns ``(max_relative_error, per_parameter)`` over every parameter of
     the variant. Each parameter is probed from the first forward stage it
@@ -365,9 +358,7 @@ def gradcheck_model(variant, seed, literal_spatial=False):
     with the whole forward.
     """
     vqa_model, batch = gradcheck_instance(variant, seed, literal_spatial)
-    tape = T.Tape()
-    loss, _ = vqa_model.batch_loss(tape, batch, vqa_model.leaves())
-    tape.backward(loss)
+    vqa_model.train_step_forward_backward([batch])
     grads = {name: vqa_model.store[name].grad for name in vqa_model.store.names()}
 
     # the probes perturb the store arrays in place; the leaves alias them, so
@@ -382,32 +373,30 @@ def gradcheck_model(variant, seed, literal_spatial=False):
     return worst, per_name
 
 
-def _gradcheck_cell(cell):
-    variant, seed, literal = cell
-    return gradcheck_model(variant, seed, literal_spatial=literal)
-
-
 def cmd_gradcheck(args):
     variants = list(model.VARIANTS) if args.variant == "all" else [canonical_variant(args.variant)]
-    cells = [(variant, args.seed + offset, args.literal_spatial)
-             for variant in variants for offset in range(args.seeds)]
+    cell_variants = [variant for variant in variants for _ in range(args.seeds)]
+    cell_seeds = [args.seed + offset for _ in variants for offset in range(args.seeds)]
+    check = functools.partial(gradcheck_model, literal_spatial=args.literal_spatial)
     # each cell is an independent deterministic job; results are aggregated
     # in the fixed cell order, so parallel execution changes nothing
     results = None
-    workers = min(T.USABLE_CORES, len(cells))
+    workers = min(T.USABLE_CORES, len(cell_seeds))
     if workers > 1:
+        import concurrent.futures
+        # a pool needs named semaphores; without them it raises
+        # NotImplementedError, and the cells run in this process
         try:
-            import concurrent.futures
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_gradcheck_cell, cells))
-        except (OSError, ImportError):
+                results = list(pool.map(check, cell_variants, cell_seeds))
+        except (OSError, NotImplementedError):
             results = None
     if results is None:
-        results = [_gradcheck_cell(cell) for cell in cells]
+        results = list(map(check, cell_variants, cell_seeds))
     worst_overall = 0.0
     worst_name = None
     group_worst = {}
-    for (variant, _, _), (_, per_name) in zip(cells, results):
+    for variant, (_, per_name) in zip(cell_variants, results):
         for name, err in per_name.items():
             key = (variant, name.split(".")[0])
             group_worst[key] = max(group_worst.get(key, 0.0), err)

@@ -25,6 +25,7 @@ id 0, and the container layout is documented at ``write_features``.
 
 import hashlib
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,10 +232,7 @@ def build_vocab(examples, answer_cap=2000):
     if not examples:
         raise InvalidArgumentError("build_vocab: no examples")
     tokens = sorted({tok for ex in examples for tok in ex.tokens} - {UNKNOWN_TOKEN})
-    counts = {}
-    for ex in examples:
-        for ans in ex.human_answers:
-            counts[ans] = counts.get(ans, 0) + 1
+    counts = Counter(ans for ex in examples for ans in ex.human_answers)
     ranked = sorted(counts, key=lambda a: (-counts[a], a))[:max(answer_cap - 1, 0)]
     answers = sorted(set(ranked) - {UNKNOWN_TOKEN})
     return [UNKNOWN_TOKEN] + tokens, [UNKNOWN_TOKEN] + answers
@@ -248,9 +246,7 @@ def encode_tokens(tokens, vocab_index):
 def most_frequent_answer(answers):
     """The training target: the most frequent of the ten human answers,
     ties broken lexicographically."""
-    counts = {}
-    for ans in answers:
-        counts[ans] = counts.get(ans, 0) + 1
+    counts = Counter(answers)
     return min(counts, key=lambda a: (-counts[a], a))
 
 

@@ -24,23 +24,7 @@ adds the three per-gate products ``U h`` at each step, is one
 import numpy as np
 
 from . import tensor as T
-from .tensor import InvalidArgumentError, VocabularyError
-
-
-def validate_tokens(token_ids, vocab_size, max_len):
-    """Check a token-id sequence against the vocabulary and length limits."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise InvalidArgumentError("question must be a nonempty 1-d sequence of token ids")
-    if ids.size > max_len:
-        raise InvalidArgumentError(
-            f"question length {ids.size} exceeds configured maximum {max_len}")
-    bad = np.where((ids < 0) | (ids >= vocab_size))[0]
-    if bad.size:
-        raise VocabularyError(
-            f"token id {int(ids[bad[0]])} at position {int(bad[0])} outside "
-            f"vocabulary of size {vocab_size}")
-    return ids
+from .tensor import InvalidArgumentError
 
 
 def project_inputs(tape, params, token_ids):

@@ -45,34 +45,30 @@ class TaxonomyError(ValueError):
 
 
 class Taxonomy:
-    """Rooted tree of answer terms with depths counted from the root (= 1)."""
+    """Rooted tree of answer terms. A term's depth is the length of its
+    ``chain`` to the root, so the root has depth 1."""
 
     def __init__(self, parents):
         self._parents = dict(parents)
-        roots = set()
-        for parent in self._parents.values():
-            if parent not in self._parents:
-                roots.add(parent)
+        roots = {parent for parent in self._parents.values() if parent not in self._parents}
         if len(roots) != 1:
             raise TaxonomyError(f"expected a single root, found {sorted(roots)}")
         self.root = next(iter(roots))
-        self._depths = {self.root: 1}
         for term in self._parents:
-            self._depth(term)
+            self.chain(term)
 
-    def _depth(self, term):
-        chain = []
-        cursor = term
-        while cursor not in self._depths:
-            chain.append(cursor)
-            cursor = self._parents[cursor]
-            if len(chain) > len(self._parents) + 1:
+    def chain(self, term):
+        """``term`` and its ancestors, nearest first, ending at the root.
+
+        A chain of more non-root terms than the taxonomy has repeats one:
+        ``term`` leads into a cycle.
+        """
+        chain = [term]
+        while chain[-1] != self.root:
+            if len(chain) > len(self._parents):
                 raise TaxonomyError(f"cycle detected near term {term!r}")
-        depth = self._depths[cursor]
-        for node in reversed(chain):
-            depth += 1
-            self._depths[node] = depth
-        return self._depths[term]
+            chain.append(self._parents[chain[-1]])
+        return chain
 
     @classmethod
     def load(cls, path):
@@ -97,16 +93,7 @@ class Taxonomy:
         return cls(parents)
 
     def __contains__(self, term):
-        return term in self._depths
-
-    def depth(self, term):
-        return self._depths[term]
-
-    def _ancestors(self, term):
-        chain = [term]
-        while chain[-1] != self.root:
-            chain.append(self._parents[chain[-1]])
-        return chain
+        return term == self.root or term in self._parents
 
 
 def wup_similarity(a, b, taxonomy):
@@ -121,10 +108,13 @@ def wup_similarity(a, b, taxonomy):
         return 1.0 if a == b else 0.0
     if a == b:
         return 1.0
-    ancestors_a = taxonomy._ancestors(a)
-    ancestors_b = set(taxonomy._ancestors(b))
-    lca = next(term for term in ancestors_a if term in ancestors_b)
-    return 2.0 * taxonomy.depth(lca) / (taxonomy.depth(a) + taxonomy.depth(b))
+    chain_a = taxonomy.chain(a)
+    chain_b = taxonomy.chain(b)
+    in_b = set(chain_b)
+    # the lowest common ancestor is the first of a's chain on b's; its depth
+    # is the length of a's chain from there to the root
+    below_lca = next(steps for steps, term in enumerate(chain_a) if term in in_b)
+    return 2.0 * (len(chain_a) - below_lca) / (len(chain_a) + len(chain_b))
 
 
 def wups_score(predictions, ground_truths, taxonomy, threshold):

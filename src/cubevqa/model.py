@@ -148,6 +148,14 @@ class Batch:
                 f"region counts must be a ({batch},) vector in [1, {k}], got {counts}")
         self.region_mask = attention.RegionMask(counts, k)
 
+    @classmethod
+    def of_one(cls, features, token_ids, label):
+        """One ``(K, D)`` map, question and answer label as a batch of one."""
+        ids = np.asarray(token_ids, dtype=np.int64)
+        return cls(features=np.asarray(features, dtype=np.float64)[None],
+                   token_ids=ids[None], lengths=np.array([ids.size]),
+                   labels=np.array([label]))
+
 
 class VqaModel:
     def __init__(self, config, seed=0):
@@ -308,17 +316,9 @@ class VqaModel:
         """Evaluation-mode scores ``(B, A)``; dropout off, nothing recorded."""
         return self._forward_batch(None, batch, self.leaves())[0].value
 
-    def _single(self, features, token_ids, label=0):
-        """One (K, D) map and question as a batch of one, tokens validated."""
-        ids = encoder.validate_tokens(token_ids, self.config.vocab_size,
-                                      self.config.max_question_len)
-        return Batch(features=np.asarray(features, dtype=np.float64)[None],
-                     token_ids=ids[None], lengths=np.array([ids.size]),
-                     labels=np.array([label]))
-
     def instance_loss(self, tape, features, token_ids, label, leaves=None):
         """Scalar training loss for one example (no dropout)."""
-        batch = self._single(features, token_ids, int(label))
+        batch = Batch.of_one(features, token_ids, int(label))
         return self.batch_loss(tape, batch, leaves or self.leaves())[0]
 
     def attention_readout(self, batch):

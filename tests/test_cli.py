@@ -182,6 +182,20 @@ def test_train_non_finite_embeddings_exit_two_before_any_checkpoint(tiny_dataset
     assert not (out / "checkpoint.cvac").exists()
 
 
+def test_train_refuses_a_question_over_the_maximum(tiny_dataset, tmp_path, capsys):
+    data_dir = str(tmp_path / "long")
+    shutil.copytree(tiny_dataset, data_dir)
+    path = os.path.join(data_dir, "train.txt")
+    lines = open(path).read().splitlines(keepends=True)
+    head, rest = lines[0].split("\t", 1)
+    image_id, token = head.split()[:2]
+    lines[0] = f"{image_id} {' '.join([token] * 27)}\t{rest}"
+    open(path, "w").writelines(lines)
+    assert run(["train", "--variant", "ra", "--data", data_dir,
+                "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == 3
+    assert "maximum is 26" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -500,6 +514,14 @@ def test_ablate_table_shape(tiny_dataset, tmp_path, capsys):
     assert all(row.split(",")[3] == "0.000000" for row in csv[1:])
 
 
+def test_ablation_table_of_a_variant_subset():
+    # run_ablation(..., variants=subset) returns only the subset's results
+    text, csv = cli.ablation_table({"ca": {"d": [0.5, 0.7]}, "cva": {"d": [1.0]}}, ["d"])
+    assert [row.split()[0] for row in text.splitlines()[1:]] == ["CA", "CVA"]
+    assert csv.splitlines()[1:] == ["CA,d,0.600000,0.100000,2",
+                                    "CVA,d,1.000000,0.000000,1"]
+
+
 def test_ablate_refuses_two_datasets_with_one_basename(tiny_dataset, tmp_path, capsys):
     # the table names each dataset column by its directory's basename
     twin = str(tmp_path / "twin" / os.path.basename(tiny_dataset))
@@ -545,6 +567,23 @@ def test_gradcheck_pool_forks_after_a_multi_tile_channel_scorer_call(monkeypatch
     T.channel_scores(None, T.Tensor(vis), T.Tensor(query), T.Tensor(np.ones(1024)))
     assert run(["gradcheck", "--variant", "ca", "--seeds", "2", "--seed", "0"]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_gradcheck_runs_serially_where_a_pool_cannot_start(monkeypatch, capsys):
+    # without named semaphores ProcessPoolExecutor() raises NotImplementedError
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise NotImplementedError("no sem_open")
+
+    argv = ["gradcheck", "--variant", "ca", "--seeds", "2"]
+    monkeypatch.setattr(T, "USABLE_CORES", 1)
+    assert run(argv) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(T, "USABLE_CORES", 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == serial
 
 
 @pytest.mark.parametrize("literal", [False, True])

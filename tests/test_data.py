@@ -441,6 +441,14 @@ def test_prepare_dataset_missing_features():
                         ["<unk>", "red"])
 
 
+def test_prepare_dataset_refuses_a_question_over_the_maximum():
+    container = FeatureContainer()
+    container.add("a", np.ones((2, 4)))
+    examples = [VqaExample("a", ["what"] * 27, ["red"] * 10, 1)]
+    with pytest.raises(InvalidArgumentError, match="27 tokens, maximum is 26"):
+        prepare_dataset(container, examples, ["<unk>", "what"], ["<unk>", "red"])
+
+
 def test_vocab_file_roundtrip(tmp_path):
     path = str(tmp_path / "v.txt")
     write_vocab(["<unk>", "alpha", "beta"], path)

@@ -111,16 +111,6 @@ def test_embed_matches_onehot_matrix_product():
                             expected, atol=1e-15)
 
 
-def test_validate_tokens_errors():
-    with pytest.raises(VocabularyError) as err:
-        E.validate_tokens([0, 12], vocab_size=7, max_len=26)
-    assert "12" in str(err.value) and "position 1" in str(err.value)
-    with pytest.raises(InvalidArgumentError):
-        E.validate_tokens([], vocab_size=7, max_len=26)
-    with pytest.raises(InvalidArgumentError):
-        E.validate_tokens([1] * 27, vocab_size=7, max_len=26)
-
-
 # ---------------------------------------------------------------------------
 # one GRU step: a one-step gru run from a given state
 

@@ -98,8 +98,11 @@ def test_taxonomy_rejects_malformed(tmp_path):
     path.write_text("a\tb\nc\td\n")  # two roots
     with pytest.raises(TaxonomyError):
         Taxonomy.load(str(path))
-    path.write_text("a\tb\nb\ta\n")  # cycle
+    path.write_text("a\tb\nb\ta\n")  # a cycle and nothing else: no root
     with pytest.raises(TaxonomyError):
+        Taxonomy.load(str(path))
+    path.write_text("root\tx\na\tb\nb\ta\n")  # one root and a detached cycle
+    with pytest.raises(TaxonomyError, match="cycle detected"):
         Taxonomy.load(str(path))
     path.write_text("a\tb\nc\tb\n")  # re-parenting
     with pytest.raises(TaxonomyError):
