@@ -94,6 +94,9 @@ def _load_prepared(data_dir, splits=("train", "test"), max_question_len=26):
     answer_vocab = data.load_vocab(os.path.join(data_dir, "answer_vocab.txt"))
     examples = [data.load_examples(os.path.join(data_dir, f"{split}.txt"),
                                    num_answers=len(answer_vocab)) for split in splits]
+    for split, split_examples in zip(splits, examples):
+        if not split_examples:
+            raise InvalidArgumentError(f"{data_dir}: {split}.txt holds no examples")
     container = data.load_features(
         os.path.join(data_dir, "features.cvaf"),
         {ex.image_id for split_examples in examples for ex in split_examples})
@@ -216,9 +219,10 @@ def cmd_train(args):
                 "checkpoint stops mid-epoch; resume requires an epoch boundary")
         start_epoch = vqa_model.store.step // steps_per_epoch
     _fit(vqa_model, train_set, config, log=print, start_epoch=start_epoch)
-    checkpoint_path = os.path.join(out, "checkpoint.cvac")
-    training.save_checkpoint(vqa_model.store, checkpoint_path)
+    # evaluated before anything is written, so a failure leaves the previous
+    # checkpoint and manifest in place; then the two are written back to back
     report = metrics.evaluate(vqa_model, test_set)
+    checkpoint_path = os.path.join(out, "checkpoint.cvac")
     manifest = {
         "command": "train",
         "variant": variant,
@@ -232,6 +236,7 @@ def cmd_train(args):
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "final_metrics": {"test_accuracy": report.accuracy},
     }
+    training.save_checkpoint(vqa_model.store, checkpoint_path)
     _write_atomic(os.path.join(out, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"test_accuracy {report.accuracy:.4f}")
@@ -361,11 +366,10 @@ def gradcheck_model(variant, seed, literal_spatial=False):
     vqa_model.train_step_forward_backward([batch])
     grads = {name: vqa_model.store[name].grad for name in vqa_model.store.names()}
 
-    # the probes perturb the store arrays in place; the leaves alias them, so
-    # one set of leaves serves every evaluation
+    # the probes perturb the store arrays in place, which the model's leaves alias
     values = vqa_model.store.values()
     worst, per_name = 0.0, {}
-    for names, f in vqa_model.stage_probes(batch, vqa_model.leaves()):
+    for names, f in vqa_model.stage_probes(batch):
         stage_worst, stage_errors = T.finite_difference_check(
             f, {name: values[name] for name in names}, grads)
         worst = max(worst, stage_worst)

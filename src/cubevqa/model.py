@@ -161,12 +161,16 @@ class VqaModel:
     def __init__(self, config, seed=0):
         self.config = config
         self.store = ParameterStore(self._initial_values(seed))
-        # each group's (attribute, leaf name) pairs, split from the names once
-        names = list(self.leaves())
-        self._group_names = tuple(
-            tuple((name.partition(".")[2], name) for name in names
-                  if name.partition(".")[0] == group)
-            for group in STAGE_OF_GROUP)
+        stacked = {name for parts in STACKED_LEAVES.values() for name in parts}
+        views = {name: (self.store[name].value, self.store[name].grad)
+                 for name in self.store.names() if name not in stacked}
+        views.update((name, self.store.stacked(parts))
+                     for name, parts in STACKED_LEAVES.items())
+        self._leaves = {}
+        for name, (value, grad) in views.items():
+            self._leaves[name] = leaf = Tensor(value)
+            leaf.grad = grad
+        self._params = self._groups(self._leaves)
 
     # -- construction -------------------------------------------------------
 
@@ -210,28 +214,28 @@ class VqaModel:
     # -- parameter views ----------------------------------------------------
 
     def leaves(self):
-        """Fresh leaf tensors over the store's arena, one per tensor the
-        forward reads: every parameter, except that the encoder's input
-        weights and biases are read as the stacked leaves of
-        ``STACKED_LEAVES``. Each leaf's ``grad`` is its gradient view in the
-        arena, so a backward pass accumulates straight into the store."""
-        stacked = {name for parts in STACKED_LEAVES.values() for name in parts}
-        views = {name: (self.store[name].value, self.store[name].grad)
-                 for name in self.store.names() if name not in stacked}
-        views.update((name, self.store.stacked(parts))
-                     for name, parts in STACKED_LEAVES.items())
-        leaves = {}
-        for name, (value, grad) in views.items():
-            leaves[name] = leaf = Tensor(value)
-            leaf.grad = grad
-        return leaves
+        """The leaf tensors the forward reads, built once with the model: every
+        parameter, but the encoder's input weights and biases as the stacked
+        leaves of ``STACKED_LEAVES``. A leaf's ``value`` and ``grad`` are views
+        of the store's arena, so every forward sees restores, in-place probes
+        and optimizer updates, and a backward accumulates into the store.
+        Nothing may rebind ``store``, or a leaf's ``value`` or ``grad``."""
+        return self._leaves
 
-    def _groups(self, leaves):
+    @staticmethod
+    def _groups(leaves):
         """One namespace of leaves per group in ``STAGE_OF_GROUP`` order, or
         ``None`` for a group the variant lacks; an attribute is its leaf name's
-        suffix (``leaves["chan.w_score"]`` is ``chan.w_score``)."""
-        return tuple(SimpleNamespace(**{attr: leaves[name] for attr, name in names})
-                     if names else None for names in self._group_names)
+        suffix (``leaves["chan.w_score"]`` is ``chan.w_score``). A leaf whose
+        prefix names no group is refused."""
+        groups = {group: {} for group in STAGE_OF_GROUP}
+        for name, leaf in leaves.items():
+            group, _, attr = name.partition(".")
+            if group not in groups:
+                raise InvalidArgumentError(f"parameter {name!r} belongs to no forward stage")
+            groups[group][attr] = leaf
+        return tuple(SimpleNamespace(**members) if members else None
+                     for members in groups.values())
 
     # -- forward passes -----------------------------------------------------
 
@@ -247,8 +251,8 @@ class VqaModel:
     def _loss(tape, batch, scores):
         return T.mean_all(tape, classifier.answer_loss(tape, scores, batch.labels))
 
-    def _forward_batch(self, tape, batch, leaves, dropout_rate=0.0, dropout_rng=None):
-        enc, chan, spat, clf = self._groups(leaves)
+    def _forward_batch(self, tape, batch, dropout_rate=0.0, dropout_rng=None):
+        enc, chan, spat, clf = self._params
         question = encoder.encode_questions_batch(tape, enc, batch.token_ids,
                                                   batch.lengths)
         attended, beta, eta = self._attend(tape, batch, question, chan, spat)
@@ -260,14 +264,14 @@ class VqaModel:
                                           dropout_mask=mask)
         return scores, beta, eta
 
-    def batch_loss(self, tape, batch, leaves, dropout_rate=0.0, dropout_rng=None):
+    def batch_loss(self, tape, batch, dropout_rate=0.0, dropout_rng=None):
         """Mean cross-entropy over one padded batch; returns ``(loss, scores)``
         with a scalar loss node and the ``(B, A)`` scores. Each example
         attends over its own ``region_counts`` rows only."""
-        scores = self._forward_batch(tape, batch, leaves, dropout_rate, dropout_rng)[0]
+        scores = self._forward_batch(tape, batch, dropout_rate, dropout_rng)[0]
         return self._loss(tape, batch, scores), scores
 
-    def stage_probes(self, batch, leaves):
+    def stage_probes(self, batch):
         """Tapeless losses for probing the parameters in place, one per stage.
 
         Returns ``[(names, f)]`` in stage order, where ``names`` are the store
@@ -279,11 +283,8 @@ class VqaModel:
         """
         stages = [[] for _ in range(3)]
         for name in self.store.names():
-            stage = STAGE_OF_GROUP.get(name.split(".")[0])
-            if stage is None:
-                raise InvalidArgumentError(f"parameter {name!r} belongs to no forward stage")
-            stages[stage].append(name)
-        enc, chan, spat, clf = self._groups(leaves)
+            stages[STAGE_OF_GROUP[name.partition(".")[0]]].append(name)
+        enc, chan, spat, clf = self._params
         question = encoder.encode_questions_batch(None, enc, batch.token_ids,
                                                   batch.lengths)
         attended = self._attend(None, batch, question, chan, spat)[0]
@@ -293,7 +294,7 @@ class VqaModel:
             return self._loss(None, batch, scores).value
 
         return list(zip(stages, (
-            lambda: self.batch_loss(None, batch, leaves)[0].value,
+            lambda: self.batch_loss(None, batch)[0].value,
             lambda: score(self._attend(None, batch, question, chan, spat)[0]),
             lambda: score(attended))))
 
@@ -307,23 +308,21 @@ class VqaModel:
         (batch,) = batches
         tape = T.Tape()
         self.store.flat_grad.fill(0.0)
-        loss, scores = self.batch_loss(tape, batch, self.leaves(), dropout_rate,
-                                       dropout_rng)
+        loss, scores = self.batch_loss(tape, batch, dropout_rate, dropout_rng)
         tape.backward(loss)
         return float(loss.value), np.argmax(scores.value, axis=-1), batch.labels
 
     def predict_batch(self, batch):
         """Evaluation-mode scores ``(B, A)``; dropout off, nothing recorded."""
-        return self._forward_batch(None, batch, self.leaves())[0].value
+        return self._forward_batch(None, batch)[0].value
 
-    def instance_loss(self, tape, features, token_ids, label, leaves=None):
+    def instance_loss(self, tape, features, token_ids, label):
         """Scalar training loss for one example (no dropout)."""
-        batch = Batch.of_one(features, token_ids, int(label))
-        return self.batch_loss(tape, batch, leaves or self.leaves())[0]
+        return self.batch_loss(tape, Batch.of_one(features, token_ids, int(label)))[0]
 
     def attention_readout(self, batch):
         """Evaluation-mode attention distributions of a batch: channel weights
         ``(B, D)`` and region weights ``(B, K)``, ``None`` for a stage the
         variant lacks."""
-        _, beta, eta = self._forward_batch(None, batch, self.leaves())
+        _, beta, eta = self._forward_batch(None, batch)
         return tuple(None if w is None else w.value for w in (beta, eta))

@@ -65,9 +65,8 @@ def glorot_uniform(shape, rng):
 
 @dataclass
 class Param:
-    """One named tensor; every field is a view into its store's arena."""
+    """One parameter; every field is a view into its store's arena."""
 
-    name: str
     value: np.ndarray
     grad: np.ndarray
     m: np.ndarray
@@ -113,15 +112,12 @@ class ParameterStore:
             views = [flat[span].reshape(array.shape) for flat in
                      (self.flat_value, self.flat_grad, self.flat_m, self.flat_v)]
             views[0][...] = array
-            self._params[name] = Param(name, *views)
+            self._params[name] = Param(*views)
             offset += array.size
         self.step = 0
 
     def __getitem__(self, name):
         return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
 
     def names(self):
         return list(self._params)

@@ -11,7 +11,7 @@ import pytest
 import cubevqa.cli as cli
 import cubevqa.tensor as T
 from cubevqa import data
-from cubevqa.training import ParameterStore
+from cubevqa.model import VqaModel
 
 
 def run(argv):
@@ -194,6 +194,37 @@ def test_train_refuses_a_question_over_the_maximum(tiny_dataset, tmp_path, capsy
     assert run(["train", "--variant", "ra", "--data", data_dir,
                 "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == 3
     assert "maximum is 26" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_train_refuses_an_empty_split_before_training(split, tiny_dataset, tmp_path,
+                                                      capsys):
+    data_dir = str(tmp_path / "empty")
+    shutil.copytree(tiny_dataset, data_dir)
+    open(os.path.join(data_dir, f"{split}.txt"), "w").close()
+    capsys.readouterr()
+    assert run(["train", "--variant", "cva", "--data", data_dir,
+                "--out", str(tmp_path / "run")] + TRAIN_FLAGS) == 3
+    captured = capsys.readouterr()
+    assert f"{split}.txt" in captured.err
+    assert "epoch" not in captured.out
+
+
+def test_failed_train_leaves_the_previous_run_as_it_was(trained_run, tiny_dataset,
+                                                        tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "run")
+    shutil.copytree(trained_run, out)
+    names = ("checkpoint.cvac", "manifest.json")
+    before = [open(os.path.join(out, name), "rb").read() for name in names]
+
+    def failing_evaluate(*args, **kwargs):
+        raise T.InvalidArgumentError("evaluation failed")
+
+    monkeypatch.setattr(cli.metrics, "evaluate", failing_evaluate)
+    assert run(["train", "--variant", "cva", "--data", tiny_dataset, "--out", out,
+                "--literal-spatial"] + TRAIN_FLAGS) == 3
+    assert "evaluation failed" in capsys.readouterr().err
+    assert [open(os.path.join(out, name), "rb").read() for name in names] == before
 
 
 # ---------------------------------------------------------------------------
@@ -594,26 +625,30 @@ def test_gradcheck_stage_probes_match_full_reevaluation(variant, literal):
     staged = cli.gradcheck_model(variant, 3, literal_spatial=literal)
     vqa_model, batch = cli.gradcheck_instance(variant, 3, literal_spatial=literal)
     tape = T.Tape()
-    loss, _ = vqa_model.batch_loss(tape, batch, vqa_model.leaves())
+    loss, _ = vqa_model.batch_loss(tape, batch)
     tape.backward(loss)
     grads = {name: vqa_model.store[name].grad for name in vqa_model.store.names()}
-    leaves = vqa_model.leaves()
     full = T.finite_difference_check(
-        lambda: float(vqa_model.batch_loss(None, batch, leaves)[0].value),
+        lambda: float(vqa_model.batch_loss(None, batch)[0].value),
         vqa_model.store.values(), grads)
     assert staged == full
     assert list(staged[1]) == vqa_model.store.names()
     # the stages partition the parameters, each named once, in store order
-    probes = vqa_model.stage_probes(batch, leaves)
+    probes = vqa_model.stage_probes(batch)
     assert [name for names, _ in probes for name in names] == vqa_model.store.names()
 
 
-def test_stage_probes_refuse_a_parameter_of_no_stage():
-    vqa_model, batch = cli.gradcheck_instance("ra", 0)
-    vqa_model.store = ParameterStore(dict(vqa_model.store.values(),
-                                          **{"extra.w": np.zeros(2)}))
+def test_stage_probes_refuse_a_parameter_of_no_stage(monkeypatch):
+    # a parameter no stage reads first cannot be probed: the model refuses
+    # it when it is built, before any probe exists
+    initial_values = VqaModel._initial_values
+
+    def with_extra(self, seed):
+        return dict(initial_values(self, seed), **{"extra.w": np.zeros(2)})
+
+    monkeypatch.setattr(VqaModel, "_initial_values", with_extra)
     with pytest.raises(T.InvalidArgumentError, match="extra.w"):
-        vqa_model.stage_probes(batch, vqa_model.leaves())
+        cli.gradcheck_instance("ra", 0)
 
 
 def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):

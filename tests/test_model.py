@@ -13,6 +13,7 @@ import pytest
 
 import cubevqa
 import cubevqa.tensor as T
+from cubevqa import training
 from cubevqa.model import (Batch, DIMENSION_PROFILES, STAGE_OF_GROUP, VARIANT_ALIASES,
                            VARIANTS, ModelConfig, VqaModel, canonical_variant)
 from cubevqa.tensor import InvalidArgumentError
@@ -116,6 +117,25 @@ def test_encoder_input_leaves_stack_the_per_gate_parameters():
         model.store.stacked(["enc.w_cand", "enc.u_update"])
 
 
+@pytest.mark.parametrize("variant", ["ca", "ra", "cva", "cva-v"])
+def test_leaves_are_built_once_and_read_a_restored_checkpoint(variant, tmp_path):
+    config = desk_config(variant)
+    batch = make_batch(config, batch=4, seed=5)
+    trained = VqaModel(config, seed=6)
+    trained.train_step_forward_backward([batch])
+    training.adam_step(trained.store, training.TrainConfig())
+    path = str(tmp_path / "checkpoint.cvac")
+    training.save_checkpoint(trained.store, path)
+
+    model = VqaModel(config, seed=7)
+    assert model.leaves() is model.leaves()
+    before = model.predict_batch(batch)
+    training.restore_checkpoint(model.store, path)
+    after = model.predict_batch(batch)
+    assert after.tobytes() == trained.predict_batch(batch).tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
 def make_batch(model_cfg, batch=5, k=4, seed=0):
     rng = substream(seed, "test-batch")
     feats = rng.uniform(-1, 1, (batch, k, model_cfg.feat_dim))
@@ -173,12 +193,11 @@ def test_batched_gradients_match_instance_sum(variant):
 
     fresh = VqaModel(config, seed=3)
     tape = T.Tape()
-    leaves = fresh.leaves()
     total = None
     for i in range(4):
         loss_i = fresh.instance_loss(tape, batch.features[i],
                                      batch.token_ids[i, :batch.lengths[i]],
-                                     batch.labels[i], leaves=leaves)
+                                     batch.labels[i])
         part = T.scale(tape, loss_i, 0.25)
         total = part if total is None else T.add(tape, total, part)
     tape.backward(total)
@@ -205,7 +224,7 @@ def test_constant_inputs_get_no_gradient_and_change_no_parameter_gradient(
         monkeypatch.setattr(T, "constant", record)
         model = VqaModel(config, seed=12)
         tape = T.Tape()
-        loss, _ = model.batch_loss(tape, batch, model.leaves(), dropout_rate=0.5,
+        loss, _ = model.batch_loss(tape, batch, dropout_rate=0.5,
                                    dropout_rng=substream(13, "dropout"))
         tape.backward(loss)
         made[kind + " grads"] = model.store.flat_grad.copy()
