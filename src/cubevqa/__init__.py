@@ -7,4 +7,6 @@ Modules: ``tensor`` (autodiff core), ``encoder`` (GRU question encoding),
 ``cli``.
 """
 
+from . import tensor   # its import pins numpy's BLAS to one thread
+
 __version__ = "0.1.0"

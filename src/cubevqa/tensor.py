@@ -20,16 +20,26 @@ trailing axes, whatever axes lead. No other broadcasting exists; the
 two sanctioned broadcast forms are ``add_vec``/``mul_vec`` (a vector
 combined across the rows of a matrix) and ``add_scalar``.
 
-Two loops use every core this process may run on (``USABLE_CORES``, read
+Three loops use every core this process may run on (``USABLE_CORES``, read
 once from its CPU affinity): the tiles of ``channel_scores``, forward and
-backward, and the chunks of ``training.adam_step``. ``run_on_cores`` splits
-such a loop into one contiguous run per core and joins its threads before it
+backward, the chunks of ``training.adam_step``, and the row blocks of every
+product of at least ``PRODUCT_MIN_WORK`` multiply-adds (``affine``, forward
+and backward, and ``gru``'s ``U`` gradients). ``run_on_cores`` splits such a
+loop into one contiguous run per core and joins its threads before it
 returns; every run writes its own slices, and sums across runs are formed in
 item order, so results are bit-identical at any core count. ``taskset -c 0``
-gives a serial run with the same bits (at the same BLAS thread count, which
-is the environment's to set).
+gives a serial run with the same bits.
+
+The engine alone decides how many cores a product uses: at import, numpy's
+bundled OpenBLAS is pinned to one thread (``numpy.libs``, reached with
+``ctypes``), so BLAS threads never compete with the engine's, and the bits
+do not depend on ``OPENBLAS_NUM_THREADS``. A forked child inherits the pin.
+Where no bundled OpenBLAS can be reached, nothing is pinned, and the same
+bits need a one-thread BLAS set by the user.
 """
 
+import ctypes
+import glob
 import os
 import threading
 
@@ -41,6 +51,24 @@ DTYPE = np.dtype(np.float64)
 # the cores this process may run on, not the host's: ``taskset`` narrows it
 USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS, or ``None`` where it cannot be reached."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)   # the copy numpy has loaded, not a second one
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+_BLAS = _bundled_openblas()
+if _BLAS is not None:
+    _BLAS.scipy_openblas_set_num_threads64_(1)
 
 
 def run_on_cores(items, work):
@@ -310,12 +338,44 @@ def tanh(tape, x):
 # linear-algebra primitives
 
 
+# a product of at least this many multiply-adds is cut into PRODUCT_BLOCKS
+# row blocks of its output; below it, the cores would cost more than they
+# save (every desk-scale and eval product, and the GRU's step products)
+PRODUCT_MIN_WORK = 1 << 27
+PRODUCT_BLOCKS = 2
+
+
+def _product_blocks(a, b):
+    """``a @ b`` of two matrices, as PRODUCT_BLOCKS row blocks of the output.
+
+    The cut depends on the shape alone, never on the core count, so each
+    block is the same BLAS call however many cores run the blocks
+    (``run_on_cores``), and the bits are the same. Each block writes its
+    rows of the one output. Callers test the work against PRODUCT_MIN_WORK
+    inline: a function call per small product costs gradcheck's thousands of
+    small forwards ~3%.
+    """
+    rows = a.shape[0]
+    out = np.empty((rows, b.shape[1]))
+    blocks = [slice(rows * i // PRODUCT_BLOCKS, rows * (i + 1) // PRODUCT_BLOCKS)
+              for i in range(PRODUCT_BLOCKS)]
+
+    def work(_, run):
+        for block in run:
+            np.matmul(a[block], b, out=out[block])
+
+    run_on_cores(blocks, work)
+    return out
+
+
 def affine(tape, x, w, b=None):
     """``W @ x + b`` over the last axis of ``x``.
 
     ``x`` has shape ``(..., n)`` with rank >= 1, ``w`` shape ``(m, n)`` and
     optional ``b`` shape ``(m,)``; the output is ``(..., m)``. The leading
-    axes run as the rows of one GEMM.
+    axes run as the rows of one GEMM. All three products (the value and the
+    two gradients) have the same work; above PRODUCT_MIN_WORK, each runs in
+    row blocks over the cores.
     """
     if w.value.ndim != 2:
         raise ShapeError(f"affine: weight must be a matrix, got shape {w.value.shape}")
@@ -329,15 +389,20 @@ def affine(tape, x, w, b=None):
     # numpy's stacked matmul runs one small product per leading index, ~3x
     # slower than one GEMM at desk-scale shapes
     rows = x.value.reshape(-1, n_dim)
-    value = (rows @ w.value.T).reshape(x.value.shape[:-1] + (m_dim,))
+    split = rows.shape[0] * n_dim * m_dim >= PRODUCT_MIN_WORK
+    value = (_product_blocks(rows, w.value.T) if split else rows @ w.value.T).reshape(
+        x.value.shape[:-1] + (m_dim,))
     if b is not None:
         value += b.value
 
     def backward(g):
         g_rows = g.reshape(-1, m_dim)
         if not x._constant:
-            _accum(x, (g_rows @ w.value).reshape(x.value.shape))
-        _accum(w, g_rows.T @ rows)
+            # passed on unnamed: a name would keep it alive through the
+            # weight gradient's product, 18 MB more at the paper's shape
+            _accum(x, (_product_blocks(g_rows, w.value) if split
+                       else g_rows @ w.value).reshape(x.value.shape))
+        _accum(w, _product_blocks(g_rows.T, rows) if split else g_rows.T @ rows)
         if b is not None:
             _accum(b, g_rows.sum(axis=0))
 
@@ -477,7 +542,8 @@ def gru(tape, x_proj, h0, lengths, u_z, u_r, u_c):
     arrays. The backward runs the recurrence in reverse and writes each
     step's gate gradients straight into the gradient of ``x_proj``; it then
     forms each ``U`` gradient as one ``(H, T*B) @ (T*B, H)`` product over all
-    steps (Appleyard et al. 2016).
+    steps (Appleyard et al. 2016), in row blocks over the cores above
+    PRODUCT_MIN_WORK. The step products stay whole.
     """
     hidden = u_z.value.shape[0]
     pv, h0v = x_proj.value, h0.value
@@ -524,9 +590,11 @@ def gru(tape, x_proj, h0, lengths, u_z, u_r, u_c):
         _accum(h0, d_h)
         rows = gx.reshape(steps * batch, 3 * hidden)
         states = hs[:steps].reshape(-1, hidden)
-        _accum(u_z, rows[:, :hidden].T @ states)
-        _accum(u_r, rows[:, hidden:2 * hidden].T @ states)
-        _accum(u_c, rows[:, 2 * hidden:].T @ rhs.reshape(-1, hidden))
+        split = steps * batch * hidden * hidden >= PRODUCT_MIN_WORK
+        for u, d_gate, inputs in ((u_z, rows[:, :hidden], states),
+                                  (u_r, rows[:, hidden:2 * hidden], states),
+                                  (u_c, rows[:, 2 * hidden:], rhs.reshape(-1, hidden))):
+            _accum(u, _product_blocks(d_gate.T, inputs) if split else d_gate.T @ inputs)
         if x_proj.grad is None and not x_proj._constant:
             x_proj.grad = gx   # the buffer is this node's own: no copy
         else:

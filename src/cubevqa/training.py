@@ -37,8 +37,12 @@ def substream(seed, *tags):
     Tags (strings or ints) select independent streams deterministically, so
     e.g. initialization and shuffling never share draws and variants trained
     from the same seed share initialization for identically named parameters.
+    The seed is any non-negative integer, taken whole: seeds that differ
+    above 32 bits do not share a stream.
     """
-    entropy = [int(seed) & 0xFFFFFFFF]
+    if int(seed) < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed}")
+    entropy = [int(seed)]
     for tag in tags:
         if isinstance(tag, str):
             entropy.append(zlib.crc32(tag.encode("utf-8")))
@@ -139,8 +143,8 @@ class ParameterStore:
                      for flat in (self.flat_value, self.flat_grad))
 
     def grad_norm(self):
-        # einsum rather than np.dot: a threaded BLAS dot can stall for a
-        # millisecond waking its worker threads, many times the arithmetic
+        # einsum rather than np.dot: a dot sums in another order, so changing
+        # it would move the clip's bits and every checkpoint's
         return float(np.sqrt(np.einsum("i,i->", self.flat_grad, self.flat_grad)))
 
 

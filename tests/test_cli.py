@@ -75,6 +75,18 @@ def test_usage_errors_exit_one(capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--task", "spatial", "--size", "10", "--k", "4", "--d", "16"],
+    ["train", "--variant", "ra", "--data", None, "--epochs", "1"],
+    ["gradcheck", "--variant", "ra"]], ids=["synth", "train", "gradcheck"])
+def test_a_negative_seed_exits_three_naming_it(argv, tiny_dataset, tmp_path, capsys):
+    argv = [tiny_dataset if arg is None else arg for arg in argv]
+    if argv[0] != "gradcheck":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(argv + ["--seed", "-1"]) == 3
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_output_root_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("CUBEVQA_OUTPUT_ROOT", str(tmp_path / "root"))
     assert run(["synth", "--task", "spatial", "--size", "10", "--k", "4",

@@ -450,6 +450,33 @@ print(loss, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
+def test_desk_and_eval_shapes_start_no_thread(monkeypatch):
+    # every product of a desk step and of eval's largest batch is below
+    # PRODUCT_MIN_WORK; ra, since the channel scorer has several tiles at
+    # D=2048
+    monkeypatch.setattr(T, "USABLE_CORES", 2)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(T.threading, "Thread", no_thread)
+    rng = np.random.default_rng(0)
+    config = training.TrainConfig(batch_size=16, profile="desk")
+    desk = VqaModel(ModelConfig.from_profile("desk", variant="cva", vocab_size=50,
+                                             num_answers=12, feat_dim=32), seed=0)
+    batch = Batch(features=rng.random((16, 6, 32)), token_ids=rng.integers(1, 50, (16, 8)),
+                  lengths=np.full(16, 8), labels=rng.integers(0, 12, 16))
+    desk.train_step_forward_backward([batch], dropout_rate=0.5, dropout_rng=rng)
+    training.adam_step(desk.store, config,
+                       grad_norm=training.clip_gradients(desk.store, config.clip_norm))
+    ra = VqaModel(ModelConfig.from_profile("desk", variant="ra", vocab_size=50,
+                                           num_answers=12, feat_dim=2048), seed=0)
+    scores = ra.predict_batch(Batch(
+        features=rng.random((64, 12, 2048)), token_ids=rng.integers(1, 50, (64, 14)),
+        lengths=np.full(64, 14), labels=np.zeros(64, dtype=np.int64)))
+    assert scores.shape == (64, 12)
+
+
 @pytest.mark.slow
 def test_full_profile_default_batch_step_fits_in_memory():
     # a fresh child process, so that its peak RSS is the step's own; the

@@ -130,23 +130,7 @@ def test_channel_scores_are_bit_identical_at_any_core_count(monkeypatch, vis_sha
     rng = np.random.default_rng(vis_shape[1])
     vis, query = rng.standard_normal(vis_shape), rng.standard_normal(query_shape)
     w, g = rng.standard_normal(query_shape[-1]), rng.standard_normal(vis_shape)
-    results = []
-    # more runs than this machine's cores, switching threads every microsecond
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cores in (1, 2, 3, 8):
-            monkeypatch.setattr(T, "USABLE_CORES", cores)
-            tape = Tape()
-            leaves = leaf(vis), leaf(query), leaf(w)
-            out = T.channel_scores(tape, *leaves)
-            tape.backward(T.mean_all(tape, T.mul(tape, out, constant(g))))
-            results.append((out.value,) + tuple(l.grad for l in leaves))
-    finally:
-        sys.setswitchinterval(interval)
-    for got in results[1:]:
-        for a, b in zip(got, results[0]):
-            npt.assert_array_equal(a, b)
+    _at_each_core_count(monkeypatch, T.channel_scores, (vis, query, w), g)
 
 
 def test_run_on_cores_splits_into_contiguous_runs_in_order(monkeypatch):
@@ -185,6 +169,69 @@ def test_run_on_cores_raises_a_failed_run_on_the_caller_and_joins(monkeypatch):
         T.run_on_cores(list(range(6)), work)
     assert sorted(ran) == [0, 1, 2]
     assert threading.active_count() == threads
+
+
+def _at_each_core_count(monkeypatch, op, inputs, g):
+    """Run ``op`` and its backward against ``g`` at 1, 2, 3 and 8 usable cores,
+    more runs than this machine's cores, switching threads every microsecond.
+    Asserts that the value and every input's gradient are bit-identical at
+    all four; returns them at one core, and the threads each count started."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(T.threading, "Thread", Counted)
+    results, threads = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 3, 8):
+            monkeypatch.setattr(T, "USABLE_CORES", cores)
+            del started[:]
+            tape = Tape()
+            leaves = [leaf(a) for a in inputs]
+            out = op(tape, *leaves)
+            tape.backward(T.mean_all(tape, T.mul(tape, out, constant(g))))
+            results.append([out.value] + [l.grad for l in leaves])
+            threads.append(len(started))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results[1:]:
+        for a, b in zip(got, results[0]):
+            npt.assert_array_equal(a, b)
+    return results[0], threads
+
+
+def test_split_affine_is_bit_identical_at_any_core_count(monkeypatch):
+    # 543 rows of 512 inputs and 513 outputs: above the threshold, with odd
+    # row counts in the value's and the weight gradient's blocks
+    rng = np.random.default_rng(0)
+    x, w = rng.standard_normal((3, 181, 512)), rng.standard_normal((513, 512))
+    b, g = rng.standard_normal(513), rng.standard_normal((3, 181, 513))
+    assert 543 * 512 * 513 >= T.PRODUCT_MIN_WORK
+    (value, *_), threads = _at_each_core_count(monkeypatch, T.affine, (x, w, b), g)
+    # the value and both gradients, each in two blocks whatever the core count
+    assert threads == [0, 3, 3, 3]
+    npt.assert_allclose(value, x @ w.T + b, rtol=1e-12, atol=1e-12)
+
+
+def test_split_gru_u_gradients_are_bit_identical_at_any_core_count(monkeypatch):
+    # 9 steps of 60 rows with H=512: each U gradient is above the threshold,
+    # each step product below it
+    steps, batch, hidden = 9, 60, 512
+    assert steps * batch * hidden * hidden >= T.PRODUCT_MIN_WORK > batch * hidden * hidden
+    rng = np.random.default_rng(1)
+    inputs = (rng.standard_normal((steps, batch, 3 * hidden)),
+              rng.standard_normal((batch, hidden)),
+              *(rng.standard_normal((hidden, hidden)) / hidden ** 0.5 for _ in range(3)))
+    lengths = rng.integers(0, steps + 1, size=batch)
+    _, threads = _at_each_core_count(
+        monkeypatch, lambda tape, proj, h0, *us: T.gru(tape, proj, h0, lengths, *us),
+        inputs, rng.standard_normal((batch, hidden)))
+    assert threads == [0, 3, 3, 3]
 
 
 def test_score_tiles_at_the_desk_and_full_shapes():

@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import struct
+import subprocess
 import sys
 import threading
 import warnings
@@ -252,6 +253,70 @@ def test_substream_independence_and_determinism():
     npt.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_substream_takes_the_whole_seed():
+    draws = {seed: substream(seed, "init", "clf.w_out").random(4).tolist()
+             for seed in (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64)}
+    assert len({tuple(d) for d in draws.values()}) == len(draws)
+    with pytest.raises(InvalidArgumentError, match="got -1"):
+        substream(-1, "init")
+
+
+# two desk-profile training steps with 2000 answers: at this shape, some
+# products differ in their last bits between one and two BLAS threads
+_TWO_STEPS = """
+import hashlib
+import numpy as np
+from cubevqa import training
+from cubevqa.model import Batch, ModelConfig, VqaModel
+rng = np.random.default_rng(0)
+batch = Batch(features=rng.random((16, 6, 32)), token_ids=rng.integers(1, 50, (16, 8)),
+              lengths=np.full(16, 8), labels=rng.integers(0, 2000, 16))
+config = training.TrainConfig(batch_size=16, profile="desk")
+model = VqaModel(ModelConfig.from_profile("desk", variant="cva", vocab_size=50,
+                                          num_answers=2000, feat_dim=32), seed=0)
+for step in range(2):
+    model.train_step_forward_backward([batch], dropout_rate=0.5,
+                                      dropout_rng=training.substream(0, "dropout", step))
+    norm = training.clip_gradients(model.store, config.clip_norm)
+    training.adam_step(model.store, config, grad_norm=norm)
+store = model.store
+print(hashlib.sha256(b"".join(a.tobytes() for a in (store.flat_value, store.flat_m,
+                                                     store.flat_v))).hexdigest())
+"""
+
+
+def _child(script, **env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(T._BLAS is None, reason="numpy's bundled OpenBLAS is not reachable")
+def test_training_bits_do_not_depend_on_the_blas_thread_count():
+    digests = [_child(_TWO_STEPS, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+               for threads in ("1", "2")]
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.skipif(T._BLAS is None, reason="numpy's bundled OpenBLAS is not reachable")
+def test_import_pins_blas_to_one_thread_in_pool_children_too():
+    script = """
+import concurrent.futures
+import cubevqa
+
+def threads():
+    return cubevqa.tensor._BLAS.scipy_openblas_get_num_threads64_()
+
+with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+    print(threads(), pool.submit(threads).result())
+"""
+    assert _child(script, OPENBLAS_NUM_THREADS="2") == ["1", "1"]
 
 
 # ---------------------------------------------------------------------------
