@@ -20,11 +20,12 @@ trailing axes, whatever axes lead. No other broadcasting exists; the
 two sanctioned broadcast forms are ``add_vec``/``mul_vec`` (a vector
 combined across the rows of a matrix) and ``add_scalar``.
 
-Three loops use every core this process may run on (``USABLE_CORES``, read
+Three loops use the cores this process may run on (``USABLE_CORES``, read
 once from its CPU affinity): the tiles of ``channel_scores``, forward and
 backward, the chunks of ``training.adam_step``, and the row blocks of every
 product of at least ``PRODUCT_MIN_WORK`` multiply-adds (``affine``, forward
-and backward, and ``gru``'s ``U`` gradients). ``run_on_cores`` splits such a
+and backward, and ``gru``'s ``U`` gradients), of which there are at most
+``PRODUCT_BLOCKS``, fixed by the shape. ``run_on_cores`` splits such a
 loop into one contiguous run per core and joins its threads before it
 returns; every run writes its own slices, and sums across runs are formed in
 item order, so results are bit-identical at any core count. ``taskset -c 0``
@@ -34,8 +35,9 @@ The engine alone decides how many cores a product uses: at import, numpy's
 bundled OpenBLAS is pinned to one thread (``numpy.libs``, reached with
 ``ctypes``), so BLAS threads never compete with the engine's, and the bits
 do not depend on ``OPENBLAS_NUM_THREADS``. A forked child inherits the pin.
-Where no bundled OpenBLAS can be reached, nothing is pinned, and the same
-bits need a one-thread BLAS set by the user.
+Where no bundled OpenBLAS can be reached, nothing is pinned: products stay
+whole, threaded as BLAS is set to, and the same bits need a one-thread BLAS
+set by the user.
 """
 
 import ctypes
@@ -53,22 +55,35 @@ USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
 
 
+# the thread-count calls (set, get) of the OpenBLAS a numpy wheel bundles:
+# numpy 2.x (libscipy_openblas64_), numpy 1.x (libopenblas64_p), and a build
+# with 32-bit indices
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
 def _bundled_openblas():
-    """numpy's bundled OpenBLAS, or ``None`` where it cannot be reached."""
+    """The (set, get) thread-count calls of numpy's bundled OpenBLAS, or
+    ``None`` where it cannot be reached."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
             lib = ctypes.CDLL(path)   # the copy numpy has loaded, not a second one
         except OSError:
             continue
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            return lib
+        for set_name, get_name in _BLAS_THREAD_CALLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                return getattr(lib, set_name), getattr(lib, get_name)
     return None
 
 
+# pinned: large products split over the cores (PRODUCT_MIN_WORK); unpinned,
+# they stay whole and BLAS threads them as it is set to
 _BLAS = _bundled_openblas()
 if _BLAS is not None:
-    _BLAS.scipy_openblas_set_num_threads64_(1)
+    _BLAS[0](1)
 
 
 def run_on_cores(items, work):
@@ -338,27 +353,39 @@ def tanh(tape, x):
 # linear-algebra primitives
 
 
-# a product of at least this many multiply-adds is cut into PRODUCT_BLOCKS
-# row blocks of its output; below it, the cores would cost more than they
-# save (every desk-scale and eval product, and the GRU's step products)
-PRODUCT_MIN_WORK = 1 << 27
-PRODUCT_BLOCKS = 2
+# a product of at least PRODUCT_MIN_WORK multiply-adds is cut into row
+# blocks of its output: PRODUCT_BLOCKS of them, halved until each has at
+# least PRODUCT_BLOCK_ROWS rows; a power of two shares evenly over 2, 4 or 8
+# cores. Split against whole on 2 cores at one BLAS thread, value and both
+# gradients: the threshold (the region projection at B=4, 144x2048x1024)
+# took 0.54-0.61 of the time in two processes; 2^28 (256x1024x1024,
+# 512x512x1024, 2048x2048x64) 0.54-1.15, gaining in one process and losing
+# in the next; 2^27 (128x1024x1024) 1.2. Every desk-scale and eval product
+# (at most ~101M) and the GRU's step products stay below it. Each block
+# repacks the whole right operand: 8 blocks of the paper's region
+# projection take ~10% longer on 2 cores than 2 blocks, and blocks of 64
+# rows lost to whole products at 2^28.
+PRODUCT_MIN_WORK = 144 * 2048 * 1024
+PRODUCT_BLOCKS = 8
+PRODUCT_BLOCK_ROWS = 128
 
 
 def _product_blocks(a, b):
-    """``a @ b`` of two matrices, as PRODUCT_BLOCKS row blocks of the output.
+    """``a @ b`` of two matrices, in row blocks of the output over the cores.
 
     The cut depends on the shape alone, never on the core count, so each
     block is the same BLAS call however many cores run the blocks
     (``run_on_cores``), and the bits are the same. Each block writes its
-    rows of the one output. Callers test the work against PRODUCT_MIN_WORK
-    inline: a function call per small product costs gradcheck's thousands of
-    small forwards ~3%.
+    rows of the one output. Callers test the work against PRODUCT_MIN_WORK,
+    and that BLAS is pinned, inline: a function call per small product costs
+    gradcheck's thousands of small forwards ~3%.
     """
     rows = a.shape[0]
+    count = PRODUCT_BLOCKS
+    while count > 1 and rows < count * PRODUCT_BLOCK_ROWS:
+        count //= 2
     out = np.empty((rows, b.shape[1]))
-    blocks = [slice(rows * i // PRODUCT_BLOCKS, rows * (i + 1) // PRODUCT_BLOCKS)
-              for i in range(PRODUCT_BLOCKS)]
+    blocks = [slice(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
     def work(_, run):
         for block in run:
@@ -389,7 +416,7 @@ def affine(tape, x, w, b=None):
     # numpy's stacked matmul runs one small product per leading index, ~3x
     # slower than one GEMM at desk-scale shapes
     rows = x.value.reshape(-1, n_dim)
-    split = rows.shape[0] * n_dim * m_dim >= PRODUCT_MIN_WORK
+    split = rows.shape[0] * n_dim * m_dim >= PRODUCT_MIN_WORK and _BLAS is not None
     value = (_product_blocks(rows, w.value.T) if split else rows @ w.value.T).reshape(
         x.value.shape[:-1] + (m_dim,))
     if b is not None:
@@ -590,7 +617,7 @@ def gru(tape, x_proj, h0, lengths, u_z, u_r, u_c):
         _accum(h0, d_h)
         rows = gx.reshape(steps * batch, 3 * hidden)
         states = hs[:steps].reshape(-1, hidden)
-        split = steps * batch * hidden * hidden >= PRODUCT_MIN_WORK
+        split = steps * batch * hidden * hidden >= PRODUCT_MIN_WORK and _BLAS is not None
         for u, d_gate, inputs in ((u_z, rows[:, :hidden], states),
                                   (u_r, rows[:, hidden:2 * hidden], states),
                                   (u_c, rows[:, 2 * hidden:], rhs.reshape(-1, hidden))):

@@ -205,23 +205,30 @@ def _at_each_core_count(monkeypatch, op, inputs, g):
     return results[0], threads
 
 
+_PINNED = pytest.mark.skipif(T._BLAS is None,
+                             reason="numpy's bundled OpenBLAS is not reachable: nothing splits")
+
+
+@_PINNED
 def test_split_affine_is_bit_identical_at_any_core_count(monkeypatch):
-    # 543 rows of 512 inputs and 513 outputs: above the threshold, with odd
-    # row counts in the value's and the weight gradient's blocks
+    # 1034 rows of 512 inputs and 577 outputs: above the threshold, with
+    # uneven row blocks in the value's and the weight gradient's cuts
     rng = np.random.default_rng(0)
-    x, w = rng.standard_normal((3, 181, 512)), rng.standard_normal((513, 512))
-    b, g = rng.standard_normal(513), rng.standard_normal((3, 181, 513))
-    assert 543 * 512 * 513 >= T.PRODUCT_MIN_WORK
+    x, w = rng.standard_normal((2, 517, 512)), rng.standard_normal((577, 512))
+    b, g = rng.standard_normal(577), rng.standard_normal((2, 517, 577))
+    assert 1034 * 512 * 577 >= T.PRODUCT_MIN_WORK
     (value, *_), threads = _at_each_core_count(monkeypatch, T.affine, (x, w, b), g)
-    # the value and both gradients, each in two blocks whatever the core count
-    assert threads == [0, 3, 3, 3]
+    # the value and the x gradient in 8 blocks, the w gradient in 4, whatever
+    # the core count; each core past the first starts one thread per product
+    assert threads == [0, 3, 6, 7 + 7 + 3]
     npt.assert_allclose(value, x @ w.T + b, rtol=1e-12, atol=1e-12)
 
 
+@_PINNED
 def test_split_gru_u_gradients_are_bit_identical_at_any_core_count(monkeypatch):
-    # 9 steps of 60 rows with H=512: each U gradient is above the threshold,
+    # 9 steps of 130 rows with H=512: each U gradient is above the threshold,
     # each step product below it
-    steps, batch, hidden = 9, 60, 512
+    steps, batch, hidden = 9, 130, 512
     assert steps * batch * hidden * hidden >= T.PRODUCT_MIN_WORK > batch * hidden * hidden
     rng = np.random.default_rng(1)
     inputs = (rng.standard_normal((steps, batch, 3 * hidden)),
@@ -231,7 +238,62 @@ def test_split_gru_u_gradients_are_bit_identical_at_any_core_count(monkeypatch):
     _, threads = _at_each_core_count(
         monkeypatch, lambda tape, proj, h0, *us: T.gru(tape, proj, h0, lengths, *us),
         inputs, rng.standard_normal((batch, hidden)))
-    assert threads == [0, 3, 3, 3]
+    # three U gradients of 512 rows, each in 4 blocks
+    assert threads == [0, 3, 6, 9]
+
+
+@pytest.mark.parametrize("rows, blocks", [
+    (2000, 8), (1024, 8), (1023, 4), (512, 4), (511, 2), (256, 2), (255, 1), (3, 1)])
+def test_product_blocks_follow_the_row_count_alone(monkeypatch, rows, blocks):
+    # as many blocks as PRODUCT_BLOCKS, halved until each has
+    # PRODUCT_BLOCK_ROWS rows; with more cores than blocks, one thread per
+    # block past the first
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(T.threading, "Thread", Counted)
+    monkeypatch.setattr(T, "USABLE_CORES", 16)
+    rng = np.random.default_rng(rows)
+    a, b = rng.standard_normal((rows, 5)), rng.standard_normal((5, 3))
+    npt.assert_allclose(T._product_blocks(a, b), a @ b, rtol=1e-14, atol=1e-14)
+    assert len(started) == blocks - 1
+
+
+def test_products_stay_whole_where_blas_is_not_pinned(monkeypatch):
+    # BLAS then threads the product itself; a split would compete with it
+    monkeypatch.setattr(T, "_BLAS", None)
+    monkeypatch.setattr(T, "USABLE_CORES", 2)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(T.threading, "Thread", no_thread)
+    rng = np.random.default_rng(2)
+    x, w = leaf(rng.standard_normal((1034, 512))), leaf(rng.standard_normal((577, 512)))
+    tape = Tape()
+    tape.backward(T.mean_all(tape, T.affine(tape, x, w)))
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+@pytest.mark.parametrize("calls", T._BLAS_THREAD_CALLS)
+def test_bundled_openblas_is_found_under_each_wheels_names(monkeypatch, calls):
+    # numpy 2.x and 1.x wheels name the thread calls differently; a library
+    # without them (here the first) is passed over
+    class Library:
+        def __init__(self, names):
+            for name in names:
+                setattr(self, name, name)
+
+    libraries = {"a.so": Library(()), "b.so": Library(calls)}
+    monkeypatch.setattr(T.glob, "glob", lambda pattern: list(libraries))
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda path: libraries[path])
+    assert T._bundled_openblas() == calls
+    libraries["b.so"] = Library(calls[:1])   # a setter without its getter
+    assert T._bundled_openblas() is None
 
 
 def test_score_tiles_at_the_desk_and_full_shapes():

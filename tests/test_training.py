@@ -311,7 +311,7 @@ import concurrent.futures
 import cubevqa
 
 def threads():
-    return cubevqa.tensor._BLAS.scipy_openblas_get_num_threads64_()
+    return cubevqa.tensor._BLAS[1]()
 
 with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
     print(threads(), pool.submit(threads).result())
