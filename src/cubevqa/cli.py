@@ -133,47 +133,40 @@ def _fit(vqa_model, train_set, config, log=None, start_epoch=0):
 # train
 
 
-def _vocab_digests(dataset):
-    return {"question": data.vocab_digest(dataset.question_vocab),
-            "answer": data.vocab_digest(dataset.answer_vocab)}
-
-
-def _read_manifest(checkpoint):
-    """What the ``manifest.json`` beside ``checkpoint`` records of its training:
-    ``(model_config, vocabulary digests, batch size)``."""
-    path = os.path.join(os.path.dirname(os.path.abspath(checkpoint)), "manifest.json")
-    if not os.path.exists(path):
-        raise data.FormatError(f"no manifest.json next to checkpoint {checkpoint}")
+def _load_checkpoint(path):
+    """The checkpoint at ``path`` and what its header records of its training:
+    ``(checkpoint, model_config, vocabulary digests, batch size)``."""
+    checkpoint = training.load_checkpoint(path)
+    header = checkpoint.header
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except UnicodeDecodeError as err:
-        raise data.FormatError(f"{path}: not UTF-8: {err}") from None
-    try:
-        model_config = ModelConfig(**manifest["model"])
+        model_config = ModelConfig(**header["model"])
     except (KeyError, TypeError, InvalidArgumentError) as err:
-        raise data.FormatError(f"{path}: bad \"model\" entry: {err!r}") from None
-    digests = manifest.get("vocab_sha256")
+        raise training.CheckpointFormatError(
+            f"{path}: bad \"model\" entry in the header: {err!r}") from None
+    digests, batch_size = header.get("vocab_sha256"), header.get("batch_size")
     if (not isinstance(digests, dict) or sorted(digests) != ["answer", "question"]
             or not all(isinstance(d, str) for d in digests.values())):
-        raise data.FormatError(f"{path}: no \"vocab_sha256\" entry with the "
-                               f"question and answer vocabulary digests")
-    trained_config = manifest.get("train_config")
-    batch_size = (trained_config.get("batch_size")
-                  if isinstance(trained_config, dict) else None)
+        raise training.CheckpointFormatError(
+            f"{path}: no \"vocab_sha256\" entry in the header with the question and "
+            f"answer vocabulary digests")
     if type(batch_size) is not int:
-        raise data.FormatError(f"{path}: no integer \"train_config\" \"batch_size\" entry")
-    return model_config, digests, batch_size
+        raise training.CheckpointFormatError(
+            f"{path}: no integer \"batch_size\" entry in the header")
+    return checkpoint, model_config, digests, batch_size
 
 
-def _check_vocabularies(trained_digests, dataset, data_dir):
+def _check_vocabularies(model_config, digests, dataset, data_dir):
     """Refuse a dataset whose vocabularies are not, entry for entry and in
     order, the ones the checkpoint was trained with."""
-    for kind, digest in _vocab_digests(dataset).items():
-        if digest != trained_digests[kind]:
+    for kind, vocab, trained_size in (
+            ("question", dataset.question_vocab, model_config.vocab_size),
+            ("answer", dataset.answer_vocab, model_config.num_answers)):
+        if data.vocab_digest(vocab) != digests[kind]:
+            detail = (f"has {len(vocab)} entries; the model was trained with {trained_size}"
+                      if len(vocab) != trained_size else
+                      "holds other entries or another order than the model was trained with")
             raise InvalidArgumentError(
-                f"{data_dir}: the {kind} vocabulary ({kind}_vocab.txt) holds other "
-                f"entries or another order than the model was trained with")
+                f"{data_dir}: the {kind} vocabulary ({kind}_vocab.txt) {detail}")
 
 
 def cmd_train(args):
@@ -199,20 +192,22 @@ def cmd_train(args):
         print(f"loaded {len(rows)} pretrained embedding rows")
     start_epoch = 0
     if args.resume:
-        trained_model, trained_digests, trained_batch = _read_manifest(args.resume)
+        checkpoint, trained_model, trained_digests, trained_batch = _load_checkpoint(
+            args.resume)
         changed = [f"{name}={value!r}" for name, value in trained_model.to_dict().items()
                    if value != getattr(model_config, name)]
         if changed:
             raise InvalidArgumentError(f"checkpoint {args.resume} was trained as another "
                                        f"model: {', '.join(changed)}")
-        _check_vocabularies(trained_digests, train_set, args.data)
+        _check_vocabularies(trained_model, trained_digests, train_set, args.data)
         # the epoch is derived from the step count, so it needs the batch size
         # the checkpoint was trained with
         if trained_batch != config.batch_size:
             raise InvalidArgumentError(
                 f"checkpoint {args.resume} was trained with batch size {trained_batch}, "
                 f"not {config.batch_size}")
-        training.restore_checkpoint(vqa_model.store, args.resume)
+        training.restore_checkpoint(vqa_model.store, checkpoint)
+        del checkpoint  # its arrays view the whole file: free it before training
         steps_per_epoch = -(-train_set.size() // config.batch_size)
         if vqa_model.store.step % steps_per_epoch:
             raise InvalidArgumentError(
@@ -220,23 +215,27 @@ def cmd_train(args):
         start_epoch = vqa_model.store.step // steps_per_epoch
     _fit(vqa_model, train_set, config, log=print, start_epoch=start_epoch)
     # evaluated before anything is written, so a failure leaves the previous
-    # checkpoint and manifest in place; then the two are written back to back
+    # run's files in place
     report = metrics.evaluate(vqa_model, test_set)
     checkpoint_path = os.path.join(out, "checkpoint.cvac")
+    # what eval and --resume read back; the manifest after it is a report
+    header = {"model": model_config.to_dict(), "batch_size": config.batch_size,
+              "vocab_sha256": {"question": data.vocab_digest(train_set.question_vocab),
+                               "answer": data.vocab_digest(train_set.answer_vocab)}}
+    training.save_checkpoint(vqa_model.store, checkpoint_path, header)
     manifest = {
         "command": "train",
         "variant": variant,
         "seed": config.seed,
         "train_config": asdict(config),
-        "model": model_config.to_dict(),
-        "vocab_sha256": _vocab_digests(train_set),
+        "model": header["model"],
+        "vocab_sha256": header["vocab_sha256"],
         "data_dir": os.path.abspath(args.data),
         "checkpoint": os.path.abspath(checkpoint_path),
         "started_at": started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "final_metrics": {"test_accuracy": report.accuracy},
     }
-    training.save_checkpoint(vqa_model.store, checkpoint_path)
     _write_atomic(os.path.join(out, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"test_accuracy {report.accuracy:.4f}")
@@ -249,20 +248,14 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model_config, trained_digests, _ = _read_manifest(args.checkpoint)
+    checkpoint, model_config, trained_digests, _ = _load_checkpoint(args.checkpoint)
     # every value is restored from the checkpoint, so the seed is irrelevant
     vqa_model = VqaModel(model_config)
-    training.restore_checkpoint(vqa_model.store, args.checkpoint)
+    training.restore_checkpoint(vqa_model.store, checkpoint)
+    del checkpoint  # its arrays view the whole file: free it before the data loads
     (dataset,) = _load_prepared(args.data, (args.split,),
                                 model_config.max_question_len)
-    found = (len(dataset.question_vocab), len(dataset.answer_vocab))
-    expected = (model_config.vocab_size, model_config.num_answers)
-    if found != expected:
-        raise InvalidArgumentError(
-            f"{args.data}: question and answer vocabularies have {found[0]} and "
-            f"{found[1]} entries; the model was trained with {expected[0]} and "
-            f"{expected[1]}")
-    _check_vocabularies(trained_digests, dataset, args.data)
+    _check_vocabularies(model_config, trained_digests, dataset, args.data)
     taxonomy = metrics.Taxonomy.load(args.taxonomy) if args.taxonomy else None
     report = metrics.evaluate(vqa_model, dataset, taxonomy=taxonomy)
     sys.stdout.write(report.to_text())
@@ -494,8 +487,7 @@ def main(argv=None):
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (OSError, data.FormatError, training.CheckpointFormatError,
-            json.JSONDecodeError) as err:
+    except (OSError, training.FormatError) as err:
         print(f"i/o or format error: {err}", file=sys.stderr)
         return 2
     except (InvalidArgumentError, ShapeError, VocabularyError,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import InvalidArgumentError
-from .training import ByteReader, read_file, substream
+from .training import ByteReader, FormatError, open_text, substream
 
 UNKNOWN_TOKEN = "<unk>"
 HUMAN_ANSWERS_PER_QUESTION = 10
@@ -49,10 +49,6 @@ TOY_COLORS = 5  # colors per block; plan_layout uses fewer when D is too small
 # plateaus short of solving the task; 3.0 makes all seeds converge inside
 # 30 epochs without destabilizing the other blocks.
 IDENTITY_GAIN = 3.0
-
-
-class FormatError(ValueError):
-    """On-disk bytes or text violate a container/dataset format."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +131,7 @@ def load_features(path, image_ids=None):
     built records are scanned for non-finite values. A named id the file
     lacks is simply absent from the container.
     """
-    reader = ByteReader(read_file(path), path, FormatError)
-    if reader.take(4, "magic") != _FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte 0")
-    (version,) = reader.unpack("<I", "version")
-    if version != _FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    reader = ByteReader(path, FormatError, _FEATURE_MAGIC, _FEATURE_VERSION)
     (count,) = reader.unpack("<I", "record count")
     container = FeatureContainer()
     for _ in range(count):
@@ -176,7 +167,7 @@ def write_examples(examples, path):
 
 def load_examples(path, num_answers=None):
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:
@@ -209,7 +200,7 @@ def write_vocab(vocab, path):
 
 
 def load_vocab(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         vocab = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
     if not vocab or vocab[0] != UNKNOWN_TOKEN:
         raise FormatError(f"{path}: vocabulary must start with {UNKNOWN_TOKEN!r}")
@@ -456,7 +447,7 @@ def load_pretrained_embeddings(path, question_vocab, embed_dim):
     """
     index = {tok: i for i, tok in enumerate(question_vocab)}
     rows = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
             if not parts:

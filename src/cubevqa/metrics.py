@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import InvalidArgumentError
+from .training import open_text
 
 WUPS_DOWNWEIGHT = 0.1
 EVAL_BATCH = 64  # examples per evaluation forward
@@ -74,7 +75,7 @@ class Taxonomy:
     def load(cls, path):
         """Parse ``parent<TAB>child`` lines into a taxonomy."""
         parents = {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if not line.strip():

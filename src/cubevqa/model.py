@@ -95,8 +95,8 @@ class ModelConfig:
     channel_gain_strength: float = 0.1
 
     def __post_init__(self):
-        # a manifest.json read back by ``eval`` is outside input: every field
-        # must have its annotated type (a bool is neither an int nor a float)
+        # a checkpoint header read back by ``eval`` is outside input: every
+        # field must have its annotated type (a bool is neither an int nor a float)
         for f in fields(self):
             value = getattr(self, f.name)
             if (not isinstance(value, _ACCEPTED.get(f.type, f.type))
@@ -299,7 +299,9 @@ class VqaModel:
             lambda: score(attended))))
 
     def train_step_forward_backward(self, batches, dropout_rate=0.0, dropout_rng=None):
-        """One recorded forward/backward over a batch; fills store gradients.
+        """One recorded forward/backward over a batch; accumulates the store's
+        gradients, which are zero between steps (a new store, ``adam_step``
+        and ``restore_checkpoint`` leave them so).
 
         ``batches`` is the one-element list ``PreparedDataset.gather`` returns.
         The loss is the mean cross-entropy over the batch's examples. Returns
@@ -307,7 +309,6 @@ class VqaModel:
         """
         (batch,) = batches
         tape = T.Tape()
-        self.store.flat_grad.fill(0.0)
         loss, scores = self.batch_loss(tape, batch, dropout_rate, dropout_rng)
         tape.backward(loss)
         return float(loss.value), np.argmax(scores.value, axis=-1), batch.labels

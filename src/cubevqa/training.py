@@ -8,13 +8,20 @@ from one seed through named sub-streams (init / shuffle / dropout / data),
 so two runs with identical seed, config, and data produce bitwise-identical
 parameters.
 
-Checkpoints are a self-describing little-endian binary: magic ``CVAC``,
-version, entry count, then three sequences of named arrays (values, first
-moments, second moments) followed by the global step counter. A save that
-fails part way leaves the previous checkpoint in place (``atomic_writer``).
+Checkpoints (CVAC version 2) are one self-describing little-endian file:
+magic ``CVAC``, u32 version, u32 entry count, three sections of named arrays
+(values, first moments, second moments; each entry a u16 name length, the
+UTF-8 name, u8 rank, u32 dims, f8 payload), the u64 step counter, then a u32
+byte count and a UTF-8 JSON object, the header (the command line records the
+model config, batch size and vocabulary digests there). Up to the step
+counter this is version 1's layout; version 1 files, which lack the header,
+are refused. A save that fails part way leaves the previous checkpoint in
+place (``atomic_writer``).
 """
 
+import collections
 import contextlib
+import json
 import math
 import os
 import struct
@@ -27,8 +34,23 @@ from . import tensor as T
 from .tensor import InvalidArgumentError, ShapeError
 
 
-class CheckpointFormatError(ValueError):
+class FormatError(ValueError):
+    """On-disk bytes or text violate a container/dataset format."""
+
+
+class CheckpointFormatError(FormatError):
     """Checkpoint bytes violate the container format."""
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text. Bytes that are not UTF-8
+    raise ``FormatError`` naming the file, however far the reader got."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: not UTF-8 ({err.reason})") from None
 
 
 def substream(seed, *tags):
@@ -271,7 +293,7 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 def parse_config_file(path):
     """Read flat ``key = value`` lines into a TrainConfig."""
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -338,16 +360,14 @@ def train_epoch(model, dataset, config, epoch):
 
 
 _MAGIC = b"CVAC"
-_VERSION = 1
+_VERSION = 2
 
 
 def _write_entry(fh, name, array):
     encoded = name.encode("utf-8")
     fh.write(struct.pack("<H", len(encoded)))
     fh.write(encoded)
-    fh.write(struct.pack("<B", array.ndim))
-    for dim in array.shape:
-        fh.write(struct.pack("<I", dim))
+    fh.write(struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape))
     fh.write(array.astype("<f8", copy=False).tobytes(order="C"))
 
 
@@ -378,49 +398,47 @@ def atomic_writer(path):
         raise
 
 
-def save_checkpoint(store, path):
-    """Serialize values, Adam moments, and the step counter."""
+def save_checkpoint(store, path, header=None):
+    """Serialize values, Adam moments, the step counter and ``header``, a
+    JSON-ready dict (empty by default)."""
     names = store.names()
+    encoded = json.dumps(header or {}, sort_keys=True).encode("utf-8")
     with atomic_writer(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(names)))
+        fh.write(struct.pack("<4sII", _MAGIC, _VERSION, len(names)))
         for attr in ("value", "m", "v"):
             for name in names:
                 _write_entry(fh, name, getattr(store[name], attr))
-        fh.write(struct.pack("<Q", store.step))
-
-
-def read_file(path):
-    """The whole file at ``path`` as a read-only byte memoryview.
-
-    One ``readinto`` fills one uninitialized numpy buffer, so a reader's
-    slices of it are views that copy nothing. The file is read rather than
-    memory-mapped: a mapped file truncated by another process raises SIGBUS
-    on access, where a read file parses to the format's own error.
-    """
-    with open(path, "rb") as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        filled = fh.readinto(buf)
-    buf.flags.writeable = False
-    return memoryview(buf)[:filled]
+        fh.write(struct.pack("<QI", store.step, len(encoded)) + encoded)
 
 
 class ByteReader:
-    """Bounds-checked reads from a little-endian binary container.
+    """Bounds-checked reads from the little-endian binary container at
+    ``path``, which opens with ``magic`` and a u32 ``version``.
 
     The CVAC checkpoint and the CVAF feature container both parse through
-    it. ``take`` hands out slices of ``data`` (a memoryview from
-    ``read_file``), so a payload is a view, never a copy. Every failure (a
-    truncated field, a name that is not UTF-8, trailing bytes) raises the
-    container's own ``error`` class, naming the file and the byte offset.
+    it. One ``readinto`` fills one uninitialized, read-only numpy buffer with
+    the whole file, and ``take`` hands out slices of it, so a payload is a
+    view, never a copy. The file is read rather than memory-mapped: a mapped
+    file truncated by another process raises SIGBUS on access, where a read
+    file parses to the format's own error. Every failure (bad magic, another
+    version, a truncated field, a name that is not UTF-8, trailing bytes)
+    raises the container's own ``error`` class, naming the file.
     """
 
-    def __init__(self, data, path, error):
-        self.data = data
+    def __init__(self, path, error, magic, version):
+        with open(path, "rb") as fh:
+            buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+            filled = fh.readinto(buf)
+        buf.flags.writeable = False
+        self.data = memoryview(buf)[:filled]
         self.path = path
         self.error = error
         self.offset = 0
+        if self.take(len(magic), "magic") != magic:
+            raise error(f"{path}: bad magic at byte 0")
+        (found,) = self.unpack("<I", "version")
+        if found != version:
+            raise error(f"{path}: unsupported version {found}")
 
     def take(self, count, what):
         if self.offset + count > len(self.data):
@@ -433,9 +451,9 @@ class ByteReader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def name(self, what):
-        """A UTF-8 string behind a u16 byte count."""
-        (size,) = self.unpack("<H", f"{what} length")
+    def name(self, what, count="<H"):
+        """A UTF-8 string behind a byte count of struct format ``count``."""
+        (size,) = self.unpack(count, f"{what} length")
         start = self.offset
         try:
             return str(self.take(size, what), "utf-8")
@@ -456,38 +474,36 @@ def _read_entry(reader):
     return name, np.frombuffer(payload, dtype="<f8").reshape(shape)
 
 
+# entries: {name: (value, m, v)}, read-only views of the file's one buffer
+Checkpoint = collections.namedtuple("Checkpoint", "entries step header")
+
+
 def load_checkpoint(path):
-    """Parse a checkpoint into ({name: (value, m, v)}, step).
-
-    The arrays are read-only views of the file's one buffer."""
-    reader = ByteReader(read_file(path), path, CheckpointFormatError)
-    if reader.take(4, "magic") != _MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic at byte 0")
-    (version,) = reader.unpack("<I", "version")
-    if version != _VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
+    """Parse a checkpoint file into a ``Checkpoint``."""
+    reader = ByteReader(path, CheckpointFormatError, _MAGIC, _VERSION)
     (count,) = reader.unpack("<I", "entry count")
-    sections = []
-    for _ in range(3):
-        section = {}
-        for _ in range(count):
-            name, array = _read_entry(reader)
-            if name in section:
-                raise CheckpointFormatError(f"{path}: duplicate entry {name!r}")
-            section[name] = array
-        sections.append(section)
+    sections = [dict(_read_entry(reader) for _ in range(count)) for _ in range(3)]
     (step,) = reader.unpack("<Q", "step counter")
+    text = reader.name("header", "<I")
     reader.finish()
+    try:
+        header = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise CheckpointFormatError(f"{path}: header is not JSON: {err}") from None
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"{path}: header is not a JSON object")
     values, first, second = sections
-    if set(first) != set(values) or set(second) != set(values):
-        raise CheckpointFormatError(f"{path}: moment sections do not match values")
+    if any(len(section) != count or section.keys() != values.keys() for section in sections):
+        raise CheckpointFormatError(f"{path}: a section repeats a name or names other "
+                                    f"parameters than the values")
     entries = {name: (values[name], first[name], second[name]) for name in values}
-    return entries, step
+    return Checkpoint(entries, step, header)
 
 
-def restore_checkpoint(store, path):
-    """Load a checkpoint into an existing store, validating names and shapes."""
-    entries, step = load_checkpoint(path)
+def restore_checkpoint(store, checkpoint):
+    """Copy a loaded ``Checkpoint`` into an existing store, validating names
+    and shapes."""
+    entries = checkpoint.entries
     names = set(store.names())
     if set(entries) != names:
         missing = sorted(names - set(entries))
@@ -500,8 +516,6 @@ def restore_checkpoint(store, path):
             raise ShapeError(
                 f"checkpoint parameter {name!r} has shape {value.shape}, "
                 f"model expects {p.value.shape}")
-        p.value[...] = value
-        p.m[...] = m
-        p.v[...] = v
-        p.grad[...] = 0.0
-    store.step = step
+        p.value[...], p.m[...], p.v[...] = value, m, v
+    store.flat_grad.fill(0.0)
+    store.step = checkpoint.step

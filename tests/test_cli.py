@@ -1,17 +1,24 @@
 """End-to-end command behavior: synth, train, eval, ablate, gradcheck."""
 
+import dataclasses
 import json
 import os
 import shutil
 import struct
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubevqa.cli as cli
 import cubevqa.tensor as T
-from cubevqa import data
-from cubevqa.model import VqaModel
+from cubevqa import data, training
+from cubevqa.metrics import Taxonomy, TaxonomyError
+from cubevqa.model import ModelConfig, VqaModel
+from cubevqa.tensor import InvalidArgumentError
 
 
 def run(argv):
@@ -114,6 +121,10 @@ def test_train_writes_checkpoint_and_manifest(tiny_dataset, tmp_path, capsys):
         kind: data.vocab_digest(data.load_vocab(os.path.join(tiny_dataset,
                                                              f"{kind}_vocab.txt")))
         for kind in ("question", "answer")}
+    # the checkpoint's header records what eval and --resume read back
+    assert training.load_checkpoint(manifest["checkpoint"]).header == {
+        "model": manifest["model"], "batch_size": 8,
+        "vocab_sha256": manifest["vocab_sha256"]}
 
 
 def test_train_deterministic_checkpoints(tiny_dataset, tmp_path):
@@ -354,9 +365,9 @@ def test_eval_architecture_mismatch(trained_run, tmp_path, capsys):
     assert code == 3
 
 
-def test_eval_vocabulary_mismatch(trained_run, tmp_path, capsys):
-    # same K and D as the training data, but smaller vocabularies
-    for task, sizes in (("spatial", "9 and 5"), ("channel", "7 and 8")):
+def test_eval_vocabulary_mismatch(trained_run, tiny_dataset, tmp_path, capsys):
+    # same K and D as the training data, but smaller question vocabularies
+    for task, size in (("spatial", 9), ("channel", 7)):
         other = str(tmp_path / task)
         assert run(["synth", "--task", task, "--out", other, "--size", "20",
                     "--k", "4", "--d", "16", "--seed", "0"]) == 0
@@ -365,7 +376,17 @@ def test_eval_vocabulary_mismatch(trained_run, tmp_path, capsys):
                     "--data", other, "--csv", str(tmp_path / f"{task}.csv")])
         assert code == 3
         err = capsys.readouterr().err
-        assert sizes in err and "13 and 13" in err
+        assert (f"question vocabulary (question_vocab.txt) has {size} entries; "
+                f"the model was trained with 13") in err
+    # the training data with one answer more
+    longer = str(tmp_path / "longer")
+    shutil.copytree(tiny_dataset, longer)
+    with open(os.path.join(longer, "answer_vocab.txt"), "a") as fh:
+        fh.write("extra\n")
+    assert run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
+                "--data", longer, "--csv", str(tmp_path / "longer.csv")]) == 3
+    assert ("answer vocabulary (answer_vocab.txt) has 14 entries; the model was "
+            "trained with 13") in capsys.readouterr().err
 
 
 def test_eval_reordered_answer_vocabulary_is_refused(trained_run, tiny_dataset, tmp_path,
@@ -385,41 +406,99 @@ def test_eval_reordered_answer_vocabulary_is_refused(trained_run, tiny_dataset, 
     assert "answer vocabulary" in err and "answer_vocab.txt" in err
 
 
-def test_eval_malformed_manifest_is_format_error(trained_run, tiny_dataset, tmp_path,
-                                                capsys):
-    manifest = json.load(open(os.path.join(trained_run, "manifest.json")))
-    broken = [dict(manifest, model=dict(manifest["model"], extra=1)),
-              dict(manifest, model={k: v for k, v in manifest["model"].items()
-                                    if k != "feat_dim"}),
-              {k: v for k, v in manifest.items() if k != "model"},
-              dict(manifest, model=[1, 2]), [manifest],
-              {k: v for k, v in manifest.items() if k != "vocab_sha256"},
-              dict(manifest, vocab_sha256={"answer": manifest["vocab_sha256"]["answer"]}),
-              dict(manifest, vocab_sha256=dict(manifest["vocab_sha256"], question=1)),
-              dict(manifest, train_config={})]
+def split_header(path):
+    """A checkpoint's bytes before its header's byte count, and the header."""
+    blob = open(path, "rb").read()
+    header = training.load_checkpoint(path).header
+    size = len(json.dumps(header, sort_keys=True).encode("utf-8"))
+    assert struct.unpack_from("<I", blob, len(blob) - size - 4) == (size,)
+    return blob[:len(blob) - size - 4], header
+
+
+def with_header(trained_run, run_dir, header):
+    """A copy of ``trained_run``'s checkpoint in ``run_dir`` whose header is
+    ``header``: bytes, or an object written as JSON. Returns its path."""
+    body, _ = split_header(os.path.join(trained_run, "checkpoint.cvac"))
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    run_dir.mkdir()
+    path = run_dir / "checkpoint.cvac"
+    path.write_bytes(body + struct.pack("<I", len(header)) + header)
+    return str(path)
+
+
+def test_eval_malformed_header_is_format_error(trained_run, tiny_dataset, tmp_path,
+                                               capsys):
+    _, header = split_header(os.path.join(trained_run, "checkpoint.cvac"))
+    broken = [dict(header, model=dict(header["model"], extra=1)),
+              dict(header, model={k: v for k, v in header["model"].items()
+                                  if k != "feat_dim"}),
+              {k: v for k, v in header.items() if k != "model"},
+              dict(header, model=[1, 2]), [header], b"{", b"",
+              {k: v for k, v in header.items() if k != "vocab_sha256"},
+              dict(header, vocab_sha256={"answer": header["vocab_sha256"]["answer"]}),
+              dict(header, vocab_sha256=dict(header["vocab_sha256"], question=1)),
+              {k: v for k, v in header.items() if k != "batch_size"},
+              dict(header, batch_size=8.0)]
     for case, content in enumerate(broken):
-        run_dir = tmp_path / str(case)
-        run_dir.mkdir()
-        shutil.copy(os.path.join(trained_run, "checkpoint.cvac"), str(run_dir))
-        (run_dir / "manifest.json").write_text(json.dumps(content))
-        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.cvac"),
-                    "--data", tiny_dataset, "--csv", str(run_dir / "r.csv")]) == 2, case
-        assert "format error" in capsys.readouterr().err
+        checkpoint = with_header(trained_run, tmp_path / str(case), content)
+        assert run(["eval", "--checkpoint", checkpoint, "--data", tiny_dataset,
+                    "--csv", str(tmp_path / "r.csv")]) == 2, case
+        err = capsys.readouterr().err
+        assert "format error" in err and "header" in err, case
+    # a missing batch size is named, and refuses a resume too
+    assert resume(str(tmp_path / str(len(broken) - 2)), tiny_dataset,
+                  str(tmp_path / "resumed")) == 2
+    assert "batch_size" in capsys.readouterr().err
 
 
-def test_non_utf8_manifest_is_format_error(trained_run, tiny_dataset, tmp_path, capsys):
-    run_dir = tmp_path / "latin"
-    shutil.copytree(trained_run, str(run_dir))
-    (run_dir / "manifest.json").write_bytes(b"\xff\xfe{}")
-    checkpoint = str(run_dir / "checkpoint.cvac")
+def test_non_utf8_header_is_format_error(trained_run, tiny_dataset, tmp_path, capsys):
+    checkpoint = with_header(trained_run, tmp_path / "latin", b"\xff\xfe{}")
     capsys.readouterr()
     assert run(["eval", "--checkpoint", checkpoint, "--data", tiny_dataset,
-                "--csv", str(run_dir / "r.csv")]) == 2
+                "--csv", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "format error" in err and "header" in err and "UTF-8" in err
+    assert resume(str(tmp_path / "latin"), tiny_dataset, str(tmp_path / "resumed")) == 2
     assert "format error" in capsys.readouterr().err
-    assert run(["train", "--variant", "cva", "--data", tiny_dataset,
-                "--out", str(tmp_path / "resumed"), "--resume", checkpoint]
-               + TRAIN_FLAGS + ["--epochs", "3"]) == 2
-    assert "format error" in capsys.readouterr().err
+
+
+def test_parsed_checkpoint_is_freed_before_data_loads_or_training_runs(
+        trained_run, tiny_dataset, tmp_path, monkeypatch):
+    # the parsed arrays are views of the whole file, three parameter vectors
+    # at full scale: eval and --resume let them go once they are restored
+    views, alive = [], []
+    load = training.load_checkpoint
+
+    def recording_load(path):
+        checkpoint = load(path)
+        views.extend(weakref.ref(a) for arrays in checkpoint.entries.values()
+                     for a in arrays)
+        return checkpoint
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            alive.append(sum(view() is not None for view in views))
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "load_checkpoint", recording_load)
+    monkeypatch.setattr(cli, "_load_prepared", counting(cli._load_prepared))
+    monkeypatch.setattr(training, "train_epoch", counting(training.train_epoch))
+    assert run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
+                "--data", tiny_dataset, "--csv", str(tmp_path / "r.csv")]) == 0
+    assert resume(trained_run, tiny_dataset, str(tmp_path / "resumed")) == 0
+    assert views and len(alive) == 3 and alive == [0, 0, 0]
+
+
+def test_version_1_checkpoint_is_refused(trained_run, tiny_dataset, tmp_path, capsys):
+    # version 1 is version 2 up to the step counter, without the header
+    body, _ = split_header(os.path.join(trained_run, "checkpoint.cvac"))
+    path = tmp_path / "v1.cvac"
+    path.write_bytes(body[:4] + struct.pack("<I", 1) + body[8:])
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(path), "--data", tiny_dataset]) == 2
+    assert "unsupported version 1" in capsys.readouterr().err
 
 
 def resume(trained_run, data_dir, out, *flags):
@@ -469,19 +548,19 @@ def test_train_resume_refuses_another_model_form(trained_run, tiny_dataset, tmp_
     assert not os.path.exists(os.path.join(out, "checkpoint.cvac"))
 
 
-def test_train_resume_without_manifest_is_format_error(trained_run, tiny_dataset,
-                                                       tmp_path, capsys):
+def test_train_resume_without_manifest_works(trained_run, tiny_dataset, tmp_path,
+                                            capsys):
+    expected = str(tmp_path / "expected")
+    assert resume(trained_run, tiny_dataset, expected) == 0
     bare = tmp_path / "bare"
     bare.mkdir()
     shutil.copy(os.path.join(trained_run, "checkpoint.cvac"), str(bare))
-    capsys.readouterr()
-    assert resume(str(bare), tiny_dataset, str(tmp_path / "resumed")) == 2
-    assert "no manifest.json" in capsys.readouterr().err
-    manifest = json.load(open(os.path.join(trained_run, "manifest.json")))
-    del manifest["train_config"]["batch_size"]
-    (bare / "manifest.json").write_text(json.dumps(manifest))
-    assert resume(str(bare), tiny_dataset, str(tmp_path / "resumed")) == 2
-    assert "batch_size" in capsys.readouterr().err
+    resumed = str(tmp_path / "resumed")
+    assert resume(str(bare), tiny_dataset, resumed) == 0
+    assert (open(os.path.join(resumed, "checkpoint.cvac"), "rb").read()
+            == open(os.path.join(expected, "checkpoint.cvac"), "rb").read())
+    assert run(["eval", "--checkpoint", str(bare / "checkpoint.cvac"),
+                "--data", tiny_dataset, "--csv", str(bare / "r.csv")]) == 0
 
 
 def test_train_resume_refuses_embeddings_before_loading(trained_run, tiny_dataset,
@@ -506,13 +585,11 @@ def test_train_resume_refuses_embeddings_before_loading(trained_run, tiny_datase
 ])
 def test_eval_wrongly_typed_model_field_is_format_error(trained_run, tiny_dataset,
                                                         tmp_path, capsys, field, value):
-    run_dir = tmp_path / "typed"
-    shutil.copytree(trained_run, str(run_dir))
-    manifest = json.load(open(run_dir / "manifest.json"))
-    manifest["model"][field] = value
-    (run_dir / "manifest.json").write_text(json.dumps(manifest))
-    assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.cvac"),
-                "--data", tiny_dataset, "--csv", str(run_dir / "r.csv")]) == 2
+    _, header = split_header(os.path.join(trained_run, "checkpoint.cvac"))
+    header["model"][field] = value
+    checkpoint = with_header(trained_run, tmp_path / "typed", header)
+    assert run(["eval", "--checkpoint", checkpoint, "--data", tiny_dataset,
+                "--csv", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err
     assert "format error" in err and field in err
 
@@ -530,11 +607,152 @@ def test_eval_restores_every_value_whatever_the_manifest_seed(trained_run, tiny_
     assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.cvac"),
                 "--data", tiny_dataset, "--csv", csv_path]) == 0
     assert (capsys.readouterr().out, open(csv_path).read()) == expected
+    # another run's manifest (another variant, model form and batch size) is
+    # not read either: eval and --resume load the model the header describes
+    other = str(tmp_path / "other")
+    assert run(["train", "--variant", "ra", "--data", tiny_dataset, "--out", other,
+                "--literal-spatial", "--batch-size", "4", "--epochs", "1"]) == 0
+    shutil.copy(os.path.join(other, "manifest.json"), str(run_dir))
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.cvac"),
+                "--data", tiny_dataset, "--csv", csv_path]) == 0
+    assert (capsys.readouterr().out, open(csv_path).read()) == expected
+    assert resume(str(run_dir), tiny_dataset, str(tmp_path / "resumed")) == 0
 
 
 def test_eval_missing_checkpoint_is_io_error(tiny_dataset, capsys):
     assert run(["eval", "--checkpoint", "/nonexistent/x.cvac",
                 "--data", tiny_dataset]) == 2
+
+
+@pytest.mark.parametrize("name", ["config", "taxonomy", "examples", "question_vocab",
+                                  "answer_vocab", "embeddings"])
+def test_non_utf8_text_input_is_format_error_naming_the_file(trained_run, tiny_dataset,
+                                                             tmp_path, capsys, name):
+    data_dir = str(tmp_path / "data")
+    shutil.copytree(tiny_dataset, data_dir)
+    eval_argv = ["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
+                 "--data", data_dir, "--csv", str(tmp_path / "r.csv")]
+    train_argv = ["train", "--variant", "cva", "--data", data_dir,
+                  "--out", str(tmp_path / "run")] + TRAIN_FLAGS
+    path, text, argv = {
+        "config": (str(tmp_path / "run.cfg"), "epochs = 1\n", train_argv + ["--config"]),
+        "taxonomy": (str(tmp_path / "tax.txt"), "a\tb\n", eval_argv + ["--taxonomy"]),
+        "examples": (os.path.join(data_dir, "test.txt"), None, eval_argv),
+        "question_vocab": (os.path.join(data_dir, "question_vocab.txt"), None, eval_argv),
+        "answer_vocab": (os.path.join(data_dir, "answer_vocab.txt"), None, eval_argv),
+        "embeddings": (str(tmp_path / "emb.txt"), "what" + " 0.5" * 16 + "\n",
+                       train_argv + ["--embeddings"]),
+    }[name]
+    if text is not None:
+        open(path, "w").write(text)
+        argv = argv + [path]
+    # valid text first, so the bad byte is met part way through the read
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "format error" in err and path in err and "not UTF-8" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed parsers: each input parses, or raises its documented error, and the
+# command that reads it exits with that error's code
+
+
+def exits_as_documented(call, codes):
+    """``call()`` returns or raises one of the error classes ``codes`` maps to
+    exit codes, and a command that does ``call()`` exits with 0 or that code."""
+    try:
+        call()
+        expected = 0
+    except tuple(codes) as err:
+        expected = next(code for cls, code in codes.items() if isinstance(err, cls))
+
+    def command(args):
+        call()
+        return 0
+
+    with mock.patch.object(cli, "cmd_gradcheck", command):
+        assert cli.main(["gradcheck"]) == expected
+
+
+FUZZ_MODEL = ModelConfig(variant="cva", vocab_size=5, num_answers=3, feat_dim=4,
+                         embed_dim=2, hidden_dim=2, attn_dim=2, fuse_dim=2)
+FUZZ_HEADER = {"model": FUZZ_MODEL.to_dict(), "batch_size": 8,
+               "vocab_sha256": {"question": "0" * 64, "answer": "f" * 64}}
+FUZZ_HEADER_BYTES = len(json.dumps(FUZZ_HEADER, sort_keys=True).encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "c.cvac")
+    training.save_checkpoint(VqaModel(FUZZ_MODEL).store, path, FUZZ_HEADER)
+    assert cli._load_checkpoint(path)[1] == FUZZ_MODEL
+    return open(path, "rb").read()
+
+
+def test_checkpoint_cut_at_every_offset_exits_two(fuzz_checkpoint, tmp_path, capsys):
+    path = str(tmp_path / "cut.cvac")
+    for cut in range(len(fuzz_checkpoint)):
+        open(path, "wb").write(fuzz_checkpoint[:cut])
+        with pytest.raises(training.CheckpointFormatError):
+            cli._load_checkpoint(path)
+    # through the command, for every cut of the step counter and the header
+    for cut in range(len(fuzz_checkpoint) - FUZZ_HEADER_BYTES - 12, len(fuzz_checkpoint)):
+        open(path, "wb").write(fuzz_checkpoint[:cut])
+        exits_as_documented(lambda: cli._load_checkpoint(path), {training.FormatError: 2})
+
+
+# the header and its byte count, the last bytes of the file
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flips=st.lists(st.tuples(st.integers(-FUZZ_HEADER_BYTES - 4, -1),
+                                st.integers(1, 255)), min_size=1, max_size=4))
+def test_flipped_checkpoint_header_bytes_exit_as_documented(fuzz_checkpoint,
+                                                            tmp_path_factory, flips):
+    blob = bytearray(fuzz_checkpoint)
+    for position, mask in flips:
+        blob[position] ^= mask
+    path = str(tmp_path_factory.mktemp("flip") / "c.cvac")
+    open(path, "wb").write(bytes(blob))
+    exits_as_documented(lambda: cli._load_checkpoint(path), {training.FormatError: 2})
+
+
+def lines_of(text_lines):
+    """Lines drawn seven times in eight from ``text_lines``, else raw bytes."""
+    return st.tuples(st.integers(0, 7), text_lines, st.binary(max_size=12)).map(
+        lambda drawn: drawn[2] if drawn[0] == 0 else drawn[1].encode("utf-8"))
+
+
+CONFIG_LINES = lines_of(st.builds(
+    "{} = {}".format,
+    st.sampled_from([f.name for f in dataclasses.fields(training.TrainConfig)]
+                    + ["bogus", ""]),
+    st.one_of(st.sampled_from(["0", "1", "-1", "0.5", "16", "1e999", "nan", "desk",
+                               "full", "1.5"]), st.text(max_size=8))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=6))
+def test_fuzzed_config_file_exits_as_documented(tmp_path_factory, lines):
+    path = str(tmp_path_factory.mktemp("config") / "run.cfg")
+    open(path, "wb").write(b"\n".join(lines))
+    exits_as_documented(lambda: training.parse_config_file(path),
+                        {training.FormatError: 2, InvalidArgumentError: 3})
+
+
+TAXONOMY_LINES = lines_of(st.builds(
+    "{}\t{}".format, *[st.sampled_from(["root", "a", "b", "c", " B ", ""])] * 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(TAXONOMY_LINES, max_size=8))
+def test_fuzzed_taxonomy_exits_as_documented(tmp_path_factory, lines):
+    path = str(tmp_path_factory.mktemp("taxonomy") / "tax.txt")
+    open(path, "wb").write(b"\n".join(lines))
+    exits_as_documented(lambda: Taxonomy.load(path),
+                        {training.FormatError: 2, TaxonomyError: 3})
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_leaves_are_built_once_and_read_a_restored_checkpoint(variant, tmp_path)
     model = VqaModel(config, seed=7)
     assert model.leaves() is model.leaves()
     before = model.predict_batch(batch)
-    training.restore_checkpoint(model.store, path)
+    training.restore_checkpoint(model.store, training.load_checkpoint(path))
     after = model.predict_batch(batch)
     assert after.tobytes() == trained.predict_batch(batch).tobytes()
     assert after.tobytes() != before.tobytes()

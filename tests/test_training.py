@@ -433,7 +433,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     p2 = str(tmp_path / "two.cvac")
     save_checkpoint(model.store, p1)
     fresh = VqaModel(model_config, seed=99)
-    restore_checkpoint(fresh.store, p1)
+    restore_checkpoint(fresh.store, load_checkpoint(p1))
     save_checkpoint(fresh.store, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     assert fresh.store.step == model.store.step
@@ -455,18 +455,18 @@ def test_gate_interleaved_checkpoint_restores_into_kind_major_store(tmp_path):
     rng = np.random.default_rng(6)
     sections = [{n: rng.standard_normal(model.store[n].value.shape) for n in names}
                 for _ in range(3)]
-    blob = [b"CVAC", struct.pack("<II", 1, len(names))]
+    blob = [b"CVAC", struct.pack("<II", 2, len(names))]
     for section in sections:
         for name, array in section.items():
             encoded = name.encode("utf-8")
             blob += [struct.pack("<H", len(encoded)), encoded,
                      struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape),
                      array.astype("<f8").tobytes()]
-    blob.append(struct.pack("<Q", 42))
+    blob.append(struct.pack("<QI", 42, 2) + b"{}")
     path = tmp_path / "interleaved.cvac"
     path.write_bytes(b"".join(blob))
     assert list(load_checkpoint(str(path))[0]) == names
-    restore_checkpoint(model.store, str(path))
+    restore_checkpoint(model.store, load_checkpoint(str(path)))
     assert model.store.step == 42
     for attr, section in zip(("value", "m", "v"), sections):
         for name, array in section.items():
@@ -494,7 +494,7 @@ def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
         save_checkpoint(store, path)
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["c.cvac"]
-    entries, step = load_checkpoint(path)
+    entries, step, _ = load_checkpoint(path)
     assert step == 7
     npt.assert_array_equal(entries["a"][0], old_a)
 
@@ -544,12 +544,12 @@ def test_checkpoint_mismatched_architecture_names_parameter(tmp_path):
     other_config = dataclasses.replace(model_config, attn_dim=8)
     other = VqaModel(other_config, seed=4)
     with pytest.raises(ShapeError) as err:
-        restore_checkpoint(other.store, path)
+        restore_checkpoint(other.store, load_checkpoint(path))
     assert "chan." in str(err.value) or "spat." in str(err.value)
     ra_config = dataclasses.replace(model_config, variant="ra")
     ra_model = VqaModel(ra_config, seed=4)
     with pytest.raises(ShapeError):
-        restore_checkpoint(ra_model.store, path)
+        restore_checkpoint(ra_model.store, load_checkpoint(path))
 
 
 def test_checkpoint_truncation_reports_offset(tmp_path):
@@ -588,6 +588,19 @@ def test_checkpoint_non_utf8_name_is_format_error(tmp_path):
     with pytest.raises(CheckpointFormatError) as err:
         load_checkpoint(path)
     assert "UTF-8" in str(err.value) and "byte 14" in str(err.value)
+
+
+def test_checkpoint_sections_name_the_same_parameters_once(tmp_path):
+    path = str(tmp_path / "s.cvac")
+    save_checkpoint(small_store(), path)
+    blob = open(path, "rb").read()
+    # the first-moment section follows the 12-byte prefix and the value
+    # entries a (60 bytes), b (40) and c (12); its "b" is at byte 186
+    assert blob[186:187] == b"b"
+    for name in (b"a", b"d"):  # a repeated name, a name the values lack
+        open(path, "wb").write(blob[:186] + name + blob[187:])
+        with pytest.raises(CheckpointFormatError, match="section"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_oversized_dims_are_format_error(tmp_path):
@@ -637,7 +650,7 @@ def test_resume_matches_uninterrupted_run():
         path = os.path.join(tmp, "half.cvac")
         save_checkpoint(half.store, path)
         resumed = VqaModel(model_config, seed=5)
-        restore_checkpoint(resumed.store, path)
+        restore_checkpoint(resumed.store, load_checkpoint(path))
     for epoch in range(3, 6):
         TR.train_epoch(resumed, prepared, config, epoch)
 
