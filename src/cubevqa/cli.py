@@ -143,6 +143,15 @@ def _load_checkpoint(path):
     except (KeyError, TypeError, InvalidArgumentError) as err:
         raise training.CheckpointFormatError(
             f"{path}: bad \"model\" entry in the header: {err!r}") from None
+    # checked before any model is built: a header that contradicts the
+    # arrays would otherwise allocate the model it describes first
+    expected = {name: shape for name, (shape, _) in model.parameter_layout(model_config).items()}
+    found = {name: value.shape for name, (value, _, _) in checkpoint.entries.items()}
+    if found != expected:
+        name = next(n for n in [*expected, *found] if found.get(n) != expected.get(n))
+        raise training.CheckpointFormatError(
+            f"{path}: the header's model has parameter {name!r} of shape "
+            f"{expected.get(name)}, the file {found.get(name)}")
     digests, batch_size = header.get("vocab_sha256"), header.get("batch_size")
     if (not isinstance(digests, dict) or sorted(digests) != ["answer", "question"]
             or not all(isinstance(d, str) for d in digests.values())):

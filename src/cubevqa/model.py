@@ -157,6 +157,44 @@ class Batch:
                    labels=np.array([label]))
 
 
+def parameter_layout(cfg):
+    """``{name: (shape, starts at zero)}`` of every parameter of a model of
+    the ``ModelConfig`` ``cfg``, in registration order: what ``VqaModel``
+    registers, and what a checkpoint of it holds."""
+    layout = {}
+
+    def init(name, shape, zero=False):
+        layout[name] = (shape, zero)
+
+    init("enc.embed", (cfg.vocab_size, cfg.embed_dim))
+    for gate in GRU_GATES:
+        init(f"enc.w_{gate}", (cfg.hidden_dim, cfg.embed_dim))
+    for gate in GRU_GATES:
+        init(f"enc.u_{gate}", (cfg.hidden_dim, cfg.hidden_dim))
+    for gate in GRU_GATES:
+        init(f"enc.b_{gate}", (cfg.hidden_dim,), zero=True)
+    if "chan" in ATTENTION_ORDER[cfg.variant]:
+        init("chan.vis_scale", (cfg.feat_dim,))
+        init("chan.vis_shift", (cfg.feat_dim,), zero=True)
+        init("chan.w_question", (cfg.attn_dim, cfg.hidden_dim))
+        init("chan.b_question", (cfg.attn_dim,), zero=True)
+        init("chan.w_score", (cfg.attn_dim,))
+        init("chan.b_score", (), zero=True)
+    if "spat" in ATTENTION_ORDER[cfg.variant]:
+        init("spat.w_visual", (cfg.attn_dim, cfg.feat_dim))
+        init("spat.b_visual", (cfg.attn_dim,), zero=True)
+        init("spat.w_question", (cfg.attn_dim, cfg.hidden_dim))
+        init("spat.b_question", (cfg.attn_dim,), zero=True)
+        init("spat.w_score", (cfg.attn_dim,))
+        init("spat.b_score", (), zero=True)
+    init("clf.w_visual", (cfg.fuse_dim, cfg.feat_dim))
+    init("clf.w_question", (cfg.fuse_dim, cfg.hidden_dim))
+    init("clf.b_hidden", (cfg.fuse_dim,), zero=True)
+    init("clf.w_out", (cfg.num_answers, cfg.fuse_dim))
+    init("clf.b_out", (cfg.num_answers,), zero=True)
+    return layout
+
+
 class VqaModel:
     def __init__(self, config, seed=0):
         self.config = config
@@ -176,40 +214,9 @@ class VqaModel:
 
     def _initial_values(self, seed):
         """Every parameter's initial value, in registration order."""
-        cfg = self.config
-        values = {}
-
-        def init(name, shape, zero=False):
-            values[name] = (np.zeros(shape) if zero else
-                            glorot_uniform(shape, substream(seed, "init", name)))
-
-        init("enc.embed", (cfg.vocab_size, cfg.embed_dim))
-        for gate in GRU_GATES:
-            init(f"enc.w_{gate}", (cfg.hidden_dim, cfg.embed_dim))
-        for gate in GRU_GATES:
-            init(f"enc.u_{gate}", (cfg.hidden_dim, cfg.hidden_dim))
-        for gate in GRU_GATES:
-            init(f"enc.b_{gate}", (cfg.hidden_dim,), zero=True)
-        if "chan" in ATTENTION_ORDER[cfg.variant]:
-            init("chan.vis_scale", (cfg.feat_dim,))
-            init("chan.vis_shift", (cfg.feat_dim,), zero=True)
-            init("chan.w_question", (cfg.attn_dim, cfg.hidden_dim))
-            init("chan.b_question", (cfg.attn_dim,), zero=True)
-            init("chan.w_score", (cfg.attn_dim,))
-            init("chan.b_score", (), zero=True)
-        if "spat" in ATTENTION_ORDER[cfg.variant]:
-            init("spat.w_visual", (cfg.attn_dim, cfg.feat_dim))
-            init("spat.b_visual", (cfg.attn_dim,), zero=True)
-            init("spat.w_question", (cfg.attn_dim, cfg.hidden_dim))
-            init("spat.b_question", (cfg.attn_dim,), zero=True)
-            init("spat.w_score", (cfg.attn_dim,))
-            init("spat.b_score", (), zero=True)
-        init("clf.w_visual", (cfg.fuse_dim, cfg.feat_dim))
-        init("clf.w_question", (cfg.fuse_dim, cfg.hidden_dim))
-        init("clf.b_hidden", (cfg.fuse_dim,), zero=True)
-        init("clf.w_out", (cfg.num_answers, cfg.fuse_dim))
-        init("clf.b_out", (cfg.num_answers,), zero=True)
-        return values
+        return {name: np.zeros(shape) if zero else
+                glorot_uniform(shape, substream(seed, "init", name))
+                for name, (shape, zero) in parameter_layout(self.config).items()}
 
     # -- parameter views ----------------------------------------------------
 

@@ -20,16 +20,18 @@ trailing axes, whatever axes lead. No other broadcasting exists; the
 two sanctioned broadcast forms are ``add_vec``/``mul_vec`` (a vector
 combined across the rows of a matrix) and ``add_scalar``.
 
-Three loops use the cores this process may run on (``USABLE_CORES``, read
+Four loops use the cores this process may run on (``USABLE_CORES``, read
 once from its CPU affinity): the tiles of ``channel_scores``, forward and
-backward, the chunks of ``training.adam_step``, and the row blocks of every
+backward, the chunks of ``training.adam_step``, the row blocks of every
 product of at least ``PRODUCT_MIN_WORK`` multiply-adds (``affine``, forward
 and backward, and ``gru``'s ``U`` gradients), of which there are at most
-``PRODUCT_BLOCKS``, fixed by the shape. ``run_on_cores`` splits such a
-loop into one contiguous run per core and joins its threads before it
-returns; every run writes its own slices, and sums across runs are formed in
-item order, so results are bit-identical at any core count. ``taskset -c 0``
-gives a serial run with the same bits.
+``PRODUCT_BLOCKS``, fixed by the shape, and the gates of each ``gru`` step
+of at least ``GATE_MIN_WORK``: the update gate beside the reset gate and
+candidate, each product whole. ``run_on_cores`` splits such a loop into one
+contiguous run per core and joins its threads before it returns; every run
+writes its own slices, and sums across runs are formed in item order, so
+results are bit-identical at any core count. ``taskset -c 0`` gives a serial
+run with the same bits.
 
 The engine alone decides how many cores a product uses: at import, numpy's
 bundled OpenBLAS is pinned to one thread (``numpy.libs``, reached with
@@ -542,6 +544,21 @@ def channel_scores(tape, vis, query, w):
 # recurrent network
 
 
+# B*H*H, one step product's multiply-adds, at and above which a GRU step
+# runs its update gate on a second core beside its reset-and-candidate chain.
+# Side by side against serial on 2 cores at one BLAS thread, 8 steps forward
+# and backward: 2^22 (B=64, H=256; B=32, H=362) took 0.99-1.05 of the time,
+# 2^23 (B=16, H=724; B=32, H=512; B=128, H=256) 0.84-0.99, the paper's 2^25
+# (B=32, H=1024) 0.81. Desk (2^16), eval (2^18) and gradcheck (2^6) stay serial.
+GATE_MIN_WORK = 1 << 23
+
+
+def _beside(chain, update):
+    """``chain()``'s result, with ``update()`` run beside it on a second core
+    (``run_on_cores``: the chain on the calling thread)."""
+    return run_on_cores((chain, update), lambda _, tasks: [task() for task in tasks])[0][0]
+
+
 def _sigmoid(a, out=None):
     # computed through tanh for stability at large |a|; with ``out``, in place
     s = np.multiply(a, 0.5, out=out)
@@ -570,7 +587,12 @@ def gru(tape, x_proj, h0, lengths, u_z, u_r, u_c):
     step's gate gradients straight into the gradient of ``x_proj``; it then
     forms each ``U`` gradient as one ``(H, T*B) @ (T*B, H)`` product over all
     steps (Appleyard et al. 2016), in row blocks over the cores above
-    PRODUCT_MIN_WORK. The step products stay whole.
+    PRODUCT_MIN_WORK. The step products stay whole, but from GATE_MIN_WORK
+    on, a step's update gate, which needs only ``h``, runs on a second core
+    (the "streamed" products of Appleyard et al.): forward ``z`` beside the
+    chain ``r -> r * h -> c``, backward ``d_z U_z`` beside ``d_c U_c -> d_r
+    -> d_r U_r``. That core writes only into arrays allocated here; the sums
+    keep their order, so the bits are those of the serial path.
     """
     hidden = u_z.value.shape[0]
     pv, h0v = x_proj.value, h0.value
@@ -587,15 +609,26 @@ def gru(tape, x_proj, h0, lengths, u_z, u_r, u_c):
     # at which some row has, the others need no mask
     carry = (lengths <= np.arange(steps)[:, None])[..., None]
     partial = carry.any(axis=(1, 2)).tolist()
+    beside = batch * hidden * hidden >= GATE_MIN_WORK and _BLAS is not None
     hs = np.empty((steps + 1, batch, hidden))   # hs[t] is step t's input state
     zs, rs, cs, rhs = (np.empty((steps, batch, hidden)) for _ in range(4))
     hs[0] = h0v
-    for t in range(steps):
-        h, p_t, z, r, rh, c = hs[t], pv[t], zs[t], rs[t], rhs[t], cs[t]
-        _sigmoid(np.add(p_t[:, :hidden], h @ uz.T, out=z), out=z)
+
+    def update(h, p_t, z):   # beside the chain, writes only into z
+        _sigmoid(np.add(p_t[:, :hidden], np.matmul(h, uz.T, out=z), out=z), out=z)
+
+    def chain(h, p_t, r, rh, c):
         _sigmoid(np.add(p_t[:, hidden:2 * hidden], h @ ur.T, out=r), out=r)
         np.multiply(r, h, out=rh)
         np.tanh(np.add(p_t[:, 2 * hidden:], rh @ uc.T, out=c), out=c)
+
+    for t in range(steps):
+        h, p_t, z, r, rh, c = hs[t], pv[t], zs[t], rs[t], rhs[t], cs[t]
+        if beside:
+            _beside(lambda: chain(h, p_t, r, rh, c), lambda: update(h, p_t, z))
+        else:
+            update(h, p_t, z)
+            chain(h, p_t, r, rh, c)
         h_next = np.multiply(z, h, out=hs[t + 1])
         h_next += (1.0 - z) * c
         if partial[t]:
@@ -603,6 +636,13 @@ def gru(tape, x_proj, h0, lengths, u_z, u_r, u_c):
 
     def backward(g):
         gx = np.empty(pv.shape)
+        dz_uz = np.empty((batch, hidden))   # the update gate's product, beside the chain
+
+        def chain_back(h, r, d_c, d_r):
+            d_rh = d_c @ uc
+            np.multiply(d_rh * h * r, 1.0 - r, out=d_r)
+            return d_rh, d_r @ ur
+
         d_h = g
         for t in reversed(range(steps)):
             h, z, r, c, g_t = hs[t], zs[t], rs[t], cs[t], gx[t]
@@ -610,9 +650,14 @@ def gru(tape, x_proj, h0, lengths, u_z, u_r, u_c):
             one_minus_z = 1.0 - z
             d_z = np.multiply(g_step * (h - c) * z, one_minus_z, out=g_t[:, :hidden])
             d_c = np.multiply(g_step * one_minus_z, 1.0 - c * c, out=g_t[:, 2 * hidden:])
-            d_rh = d_c @ uc
-            d_r = np.multiply(d_rh * h * r, 1.0 - r, out=g_t[:, hidden:2 * hidden])
-            d_prev = g_step * z + d_rh * r + d_z @ uz + d_r @ ur
+            d_r = g_t[:, hidden:2 * hidden]
+            if beside:
+                d_rh, dr_ur = _beside(lambda: chain_back(h, r, d_c, d_r),
+                                      lambda: np.matmul(d_z, uz, out=dz_uz))
+            else:
+                np.matmul(d_z, uz, out=dz_uz)
+                d_rh, dr_ur = chain_back(h, r, d_c, d_r)
+            d_prev = g_step * z + d_rh * r + dz_uz + dr_ur
             d_h = np.where(carry[t], d_h, d_prev) if partial[t] else d_prev
         _accum(h0, d_h)
         rows = gx.reshape(steps * batch, 3 * hidden)

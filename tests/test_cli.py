@@ -452,6 +452,27 @@ def test_eval_malformed_header_is_format_error(trained_run, tiny_dataset, tmp_pa
     assert "batch_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value,first", [("attn_dim", 94, "chan.w_question"),
+                                               ("hidden_dim", 10 ** 6, "enc.w_update")])
+def test_header_contradicting_the_arrays_is_format_error_before_any_model(
+        trained_run, tiny_dataset, tmp_path, capsys, monkeypatch, field, value, first):
+    # the header's model implies other parameter shapes than the file holds:
+    # refused from the shapes alone, before that model is built (allocated)
+    _, header = split_header(os.path.join(trained_run, "checkpoint.cvac"))
+    header["model"][field] = value
+    checkpoint = with_header(trained_run, tmp_path / "contradicting", header)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "VqaModel", no_model)
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", checkpoint, "--data", tiny_dataset,
+                "--csv", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "format error" in err and f"parameter {first!r} of shape" in err
+
+
 def test_non_utf8_header_is_format_error(trained_run, tiny_dataset, tmp_path, capsys):
     checkpoint = with_header(trained_run, tmp_path / "latin", b"\xff\xfe{}")
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Question encoding: embedding lookup and the GRU recurrence."""
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -293,6 +294,57 @@ def test_batched_encoder_records_one_gru_node():
     # the embedding lookup and input projection of all steps, then the whole
     # recurrence, whatever the number of steps
     assert len(tape) == 3
+
+
+@pytest.fixture
+def gates_beside(monkeypatch):
+    """Every GRU step runs its update gate on a second thread; returns the
+    list of threads started."""
+    if T._BLAS is None:
+        pytest.skip("numpy's bundled OpenBLAS is not reachable: the gates stay serial")
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(T, "GATE_MIN_WORK", 0)
+    monkeypatch.setattr(T, "USABLE_CORES", 2)
+    monkeypatch.setattr(T.threading, "Thread", Counted)
+    return started
+
+
+def test_gates_beside_the_chain_match_scalar_loop_oracle(gates_beside):
+    params = make_params(seed=22)
+    plists = encoder_params_as_lists(params)
+    embed = params.embed.value.tolist()
+    rng = np.random.default_rng(23)
+    lengths = np.array([3, 1, 5, 2])
+    ids = rng.integers(0, 7, size=(4, 5))
+    out = E.encode_questions_batch(None, params, ids, lengths)
+    assert len(gates_beside) == 5
+    for row, length in enumerate(lengths):
+        expected = naive_encode(ids[row, :length], embed, plists, hidden=5)
+        npt.assert_allclose(out.value[row], expected, rtol=0, atol=1e-10)
+
+
+def test_gates_beside_the_chain_match_finite_differences(gates_beside):
+    params = make_params(vocab=6, embed=4, hidden=5, seed=24)
+    ids, lengths = np.array([[2, 5, 1, 4], [3, 1, 0, 0], [5, 0, 0, 0]]), np.array([4, 2, 1])
+    arrays = {name: getattr(params, name).value for name in ENCODER_PARAMS}
+
+    def build(tape):
+        q = E.encode_questions_batch(tape, params, ids, lengths)
+        return T.mean_all(tape, T.mul(tape, q, q))
+
+    tape = Tape()
+    tape.backward(build(tape))
+    assert len(gates_beside) == 2 * 4
+    grads = {name: getattr(params, name).grad for name in arrays}
+    worst, _ = T.finite_difference_check(lambda: float(build(None).value),
+                                         arrays, grads, eps=1e-5)
+    assert worst < 1e-4
 
 
 def test_encoder_gradients_match_finite_differences():

@@ -15,7 +15,8 @@ import cubevqa
 import cubevqa.tensor as T
 from cubevqa import training
 from cubevqa.model import (Batch, DIMENSION_PROFILES, STAGE_OF_GROUP, VARIANT_ALIASES,
-                           VARIANTS, ModelConfig, VqaModel, canonical_variant)
+                           VARIANTS, ModelConfig, VqaModel, canonical_variant,
+                           parameter_layout)
 from cubevqa.tensor import InvalidArgumentError
 from cubevqa.training import substream
 
@@ -40,6 +41,18 @@ def test_config_accepts_numpy_integer_sizes():
     assert VqaModel(config, seed=0).store["clf.w_visual"].value.shape == (9, 12)
     with pytest.raises(InvalidArgumentError):
         desk_config(feat_dim=np.float64(12.0))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_store_registers_the_parameter_layout(variant):
+    # one table: the names, order, shapes and zero starts the model registers
+    config = desk_config(variant)
+    store = VqaModel(config, seed=0).store
+    layout = parameter_layout(config)
+    assert store.names() == list(layout)
+    for name, (shape, zero) in layout.items():
+        assert store[name].value.shape == shape
+        assert (not store[name].value.any()) == zero, name
 
 
 @pytest.mark.parametrize("strength", [float("nan"), float("inf"), -float("inf")])

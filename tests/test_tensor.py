@@ -238,8 +238,57 @@ def test_split_gru_u_gradients_are_bit_identical_at_any_core_count(monkeypatch):
     _, threads = _at_each_core_count(
         monkeypatch, lambda tape, proj, h0, *us: T.gru(tape, proj, h0, lengths, *us),
         inputs, rng.standard_normal((batch, hidden)))
-    # three U gradients of 512 rows, each in 4 blocks
-    assert threads == [0, 3, 6, 9]
+    # three U gradients of 512 rows, each in 4 blocks, and each step's update
+    # gate beside its chain, forward and backward
+    assert threads == [0, 3 + 18, 6 + 18, 9 + 18]
+
+
+@_PINNED
+def test_gru_gates_beside_the_chain_are_bit_identical_at_any_core_count(monkeypatch):
+    # 3 steps of 32 rows with H=512: each step's gates run side by side, the
+    # U gradients stay whole
+    steps, batch, hidden = 3, 32, 512
+    assert steps * batch * hidden * hidden < T.PRODUCT_MIN_WORK
+    assert batch * hidden * hidden >= T.GATE_MIN_WORK
+    rng = np.random.default_rng(3)
+    inputs = (rng.standard_normal((steps, batch, 3 * hidden)),
+              rng.standard_normal((batch, hidden)),
+              *(rng.standard_normal((hidden, hidden)) / hidden ** 0.5 for _ in range(3)))
+    lengths = rng.integers(0, steps + 1, size=batch)
+
+    def op(tape, proj, h0, *us):
+        return T.gru(tape, proj, h0, lengths, *us)
+
+    g = rng.standard_normal((batch, hidden))
+    beside, threads = _at_each_core_count(monkeypatch, op, inputs, g)
+    # one thread per step, forward and backward, whatever the core count past one
+    assert threads == [0, 2 * steps, 2 * steps, 2 * steps]
+    # and the bits of the serial path
+    monkeypatch.setattr(T, "GATE_MIN_WORK", math.inf)
+    serial, threads = _at_each_core_count(monkeypatch, op, inputs, g)
+    assert threads == [0, 0, 0, 0]
+    for a, b in zip(beside, serial):
+        npt.assert_array_equal(a, b)
+
+
+def test_gru_gates_stay_on_one_core_where_blas_is_not_pinned(monkeypatch):
+    # the paper's B*H*H, whose step products BLAS threads itself when unpinned
+    monkeypatch.setattr(T, "_BLAS", None)
+    monkeypatch.setattr(T, "USABLE_CORES", 2)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(T.threading, "Thread", no_thread)
+    batch, hidden = 32, 1024
+    assert batch * hidden * hidden >= T.GATE_MIN_WORK
+    rng = np.random.default_rng(4)
+    proj, us = leaf(rng.standard_normal((2, batch, 3 * hidden))), [
+        leaf(rng.standard_normal((hidden, hidden)) / hidden ** 0.5) for _ in range(3)]
+    tape = Tape()
+    out = T.gru(tape, proj, constant(np.zeros((batch, hidden))), np.full(batch, 2), *us)
+    tape.backward(T.mean_all(tape, out))
+    assert all(u.grad.shape == (hidden, hidden) for u in us)
 
 
 @pytest.mark.parametrize("rows, blocks", [
