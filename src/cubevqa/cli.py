@@ -84,14 +84,18 @@ def cmd_synth(args):
 # shared loading
 
 
-def _load_prepared(data_dir, splits=("train", "test"), max_question_len=26):
+def _load_prepared(data_dir, splits=("train", "test"), max_question_len=26, trained=None):
     """One ``PreparedDataset`` per named split; other splits are not read.
 
-    Only the feature records the splits' examples name are built; the others
-    have their headers checked and nothing more (``data.load_features``).
+    The vocabularies are checked against ``trained``, a checkpoint's
+    ``(model_config, vocabulary digests)``, before anything else is read.
+    Only the feature records the splits' examples name are read and built
+    (``data.load_features``).
     """
     question_vocab = data.load_vocab(os.path.join(data_dir, "question_vocab.txt"))
     answer_vocab = data.load_vocab(os.path.join(data_dir, "answer_vocab.txt"))
+    if trained:
+        _check_vocabularies(*trained, question_vocab, answer_vocab, data_dir)
     examples = [data.load_examples(os.path.join(data_dir, f"{split}.txt"),
                                    num_answers=len(answer_vocab)) for split in splits]
     for split, split_examples in zip(splits, examples):
@@ -164,12 +168,12 @@ def _load_checkpoint(path):
     return checkpoint, model_config, digests, batch_size
 
 
-def _check_vocabularies(model_config, digests, dataset, data_dir):
-    """Refuse a dataset whose vocabularies are not, entry for entry and in
-    order, the ones the checkpoint was trained with."""
+def _check_vocabularies(model_config, digests, question_vocab, answer_vocab, data_dir):
+    """Refuse vocabularies that are not, entry for entry and in order, the
+    ones the checkpoint was trained with."""
     for kind, vocab, trained_size in (
-            ("question", dataset.question_vocab, model_config.vocab_size),
-            ("answer", dataset.answer_vocab, model_config.num_answers)):
+            ("question", question_vocab, model_config.vocab_size),
+            ("answer", answer_vocab, model_config.num_answers)):
         if data.vocab_digest(vocab) != digests[kind]:
             detail = (f"has {len(vocab)} entries; the model was trained with {trained_size}"
                       if len(vocab) != trained_size else
@@ -208,7 +212,8 @@ def cmd_train(args):
         if changed:
             raise InvalidArgumentError(f"checkpoint {args.resume} was trained as another "
                                        f"model: {', '.join(changed)}")
-        _check_vocabularies(trained_model, trained_digests, train_set, args.data)
+        _check_vocabularies(trained_model, trained_digests, train_set.question_vocab,
+                            train_set.answer_vocab, args.data)
         # the epoch is derived from the step count, so it needs the batch size
         # the checkpoint was trained with
         if trained_batch != config.batch_size:
@@ -216,7 +221,7 @@ def cmd_train(args):
                 f"checkpoint {args.resume} was trained with batch size {trained_batch}, "
                 f"not {config.batch_size}")
         training.restore_checkpoint(vqa_model.store, checkpoint)
-        del checkpoint  # its arrays view the whole file: free it before training
+        del checkpoint  # its arrays view every payload: free them before training
         steps_per_epoch = -(-train_set.size() // config.batch_size)
         if vqa_model.store.step % steps_per_epoch:
             raise InvalidArgumentError(
@@ -261,10 +266,9 @@ def cmd_eval(args):
     # every value is restored from the checkpoint, so the seed is irrelevant
     vqa_model = VqaModel(model_config)
     training.restore_checkpoint(vqa_model.store, checkpoint)
-    del checkpoint  # its arrays view the whole file: free it before the data loads
-    (dataset,) = _load_prepared(args.data, (args.split,),
-                                model_config.max_question_len)
-    _check_vocabularies(model_config, trained_digests, dataset, args.data)
+    del checkpoint  # its arrays view every payload: free them before the data loads
+    (dataset,) = _load_prepared(args.data, (args.split,), model_config.max_question_len,
+                                trained=(model_config, trained_digests))
     taxonomy = metrics.Taxonomy.load(args.taxonomy) if args.taxonomy else None
     report = metrics.evaluate(vqa_model, dataset, taxonomy=taxonomy)
     sys.stdout.write(report.to_text())

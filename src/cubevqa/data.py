@@ -60,7 +60,7 @@ class FeatureContainer:
 
     ``records`` holds the built maps. ``admit`` takes a record's header
     alone, so ids, shapes and the channel count are checked across records
-    that are never built.
+    that are never built; ``build`` keeps the map of an admitted record.
     """
 
     def __init__(self):
@@ -84,12 +84,16 @@ class FeatureContainer:
                 f"container uses {self.feat_dim}")
         self._ids.add(image_id)
 
-    def add(self, image_id, features):
-        features = np.asarray(features, dtype=np.float32)
+    def build(self, image_id, features):
+        """Keep an admitted record's map; non-finite values are refused."""
         if not np.all(np.isfinite(features)):
             raise InvalidArgumentError(f"features for {image_id!r} contain non-finite values")
-        self.admit(image_id, features.shape)
         self.records[image_id] = features
+
+    def add(self, image_id, features):
+        features = np.asarray(features, dtype=np.float32)
+        self.admit(image_id, features.shape)
+        self.build(image_id, features)
 
     def __len__(self):
         return len(self.records)
@@ -122,27 +126,29 @@ def write_features(container, path):
 
 
 def load_features(path, image_ids=None):
-    """Parse a CVAF file; every built record is a read-only view of its one buffer.
+    """Parse a CVAF file, reading and building the records ``image_ids``
+    (a set, or ``None`` for all) names: each a read-only view of the read.
 
-    ``image_ids`` (a set, or ``None`` for all) names the records to build.
-    Every record's header is parsed and checked whether it is built or not:
-    a truncated payload, an id that is not UTF-8, a repeated id, an empty
-    shape or another channel count is refused, as are trailing bytes. Only
-    built records are scanned for non-finite values. A named id the file
-    lacks is simply absent from the container.
+    Every record's header is checked first: a truncated payload, an id that
+    is not UTF-8, a repeated id, an empty shape or another channel count is
+    refused, as are trailing bytes. Then each run of adjacent built records
+    is one read, and only built records are scanned for non-finite values.
+    A named id the file lacks is simply absent from the container.
     """
-    reader = ByteReader(path, FormatError, _FEATURE_MAGIC, _FEATURE_VERSION)
-    (count,) = reader.unpack("<I", "record count")
     container = FeatureContainer()
-    for _ in range(count):
-        image_id = reader.name("image id")
-        k, d = reader.unpack("<II", f"dimensions of {image_id!r}")
-        payload = reader.take(k * d * 4, f"features of {image_id!r}")
-        if image_ids is None or image_id in image_ids:
-            container.add(image_id, np.frombuffer(payload, dtype="<f4").reshape(k, d))
-        else:
-            container.admit(image_id, (k, d))
-    reader.finish()
+    with open(path, "rb") as fh:
+        reader = ByteReader(fh, FormatError, _FEATURE_MAGIC, _FEATURE_VERSION)
+        (count,) = reader.unpack("<I", "record count")
+        for _ in range(count):
+            image_id = reader.name("image id")
+            shape = reader.unpack("<II", f"dimensions of {image_id!r}")
+            keep = image_ids is None or image_id in image_ids
+            reader.skip(4 * shape[0] * shape[1], f"features of {image_id!r}",
+                        (image_id, shape) if keep else None)
+            container.admit(image_id, shape)
+        payloads = reader.finish()
+    for (image_id, shape), payload in payloads:
+        container.build(image_id, np.frombuffer(payload, dtype="<f4").reshape(shape))
     return container
 
 

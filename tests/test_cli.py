@@ -389,6 +389,23 @@ def test_eval_vocabulary_mismatch(trained_run, tiny_dataset, tmp_path, capsys):
             "trained with 13") in capsys.readouterr().err
 
 
+def test_eval_refuses_another_vocabulary_before_reading_features(
+        trained_run, tiny_dataset, tmp_path, monkeypatch, capsys):
+    longer = str(tmp_path / "longer")
+    shutil.copytree(tiny_dataset, longer)
+    with open(os.path.join(longer, "answer_vocab.txt"), "a") as fh:
+        fh.write("extra\n")
+
+    def unread(*args, **kwargs):
+        raise AssertionError("features.cvaf was read")
+
+    monkeypatch.setattr(data, "load_features", unread)
+    assert run(["eval", "--checkpoint", os.path.join(trained_run, "checkpoint.cvac"),
+                "--data", longer, "--csv", str(tmp_path / "longer.csv")]) == 3
+    assert ("answer vocabulary (answer_vocab.txt) has 14 entries; the model was "
+            "trained with 13") in capsys.readouterr().err
+
+
 def test_eval_reordered_answer_vocabulary_is_refused(trained_run, tiny_dataset, tmp_path,
                                                      capsys):
     # same entries and size, but two answer ids swapped: every prediction of
@@ -486,8 +503,9 @@ def test_non_utf8_header_is_format_error(trained_run, tiny_dataset, tmp_path, ca
 
 def test_parsed_checkpoint_is_freed_before_data_loads_or_training_runs(
         trained_run, tiny_dataset, tmp_path, monkeypatch):
-    # the parsed arrays are views of the whole file, three parameter vectors
-    # at full scale: eval and --resume let them go once they are restored
+    # the parsed arrays are views of one buffer of every payload, three
+    # parameter vectors at full scale: eval and --resume let them go once
+    # they are restored
     views, alive = [], []
     load = training.load_checkpoint
 

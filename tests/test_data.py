@@ -1,7 +1,9 @@
 """Feature container format, toy generator, vocabularies, dataset lines."""
 
+import os
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubevqa.data as D
+import cubevqa.training as TR
 from cubevqa.data import (FeatureContainer, FormatError, VqaExample, build_vocab,
                           encode_tokens, generate_toy_dataset, load_examples,
                           load_features, load_vocab, most_frequent_answer,
@@ -126,27 +129,33 @@ def test_flipped_header_or_id_bytes_raise_only_documented_errors(tmp_path_factor
 
 
 def owner(array):
-    """The object that owns ``array``'s memory, through views and memoryviews."""
+    """The array that owns ``array``'s memory, through views and memoryviews."""
     while True:
         base = array.base
         if isinstance(base, memoryview):
             base = base.obj
-        if base is None:
+        if not isinstance(base, np.ndarray):
             return array
         array = base
 
 
 def test_loaded_records_are_views_of_one_buffer(tmp_path):
-    path, blob = small_container_file(tmp_path)
-    for image_ids in (None, {"img", "second"}, {"second"}):
+    # "img"'s payload takes bytes 25-48, "second"'s header 49-64 and its
+    # payload 65-76: the buffer holds the built runs, headers within a run
+    # included, and nothing else
+    path, _ = small_container_file(tmp_path)
+    for image_ids, size in ((None, 52), ({"img", "second"}, 52), ({"img"}, 24),
+                            ({"second"}, 12)):
         loaded = load_features(path, image_ids)
         owners = {id(owner(a)): owner(a) for a in loaded.records.values()}
         assert len(owners) == 1, image_ids
-        assert next(iter(owners.values())).nbytes == len(blob)
+        (buffer,) = owners.values()
+        assert buffer.nbytes == size and not buffer.flags.writeable
         assert not any(a.flags.writeable for a in loaded.records.values())
         if image_ids != {"second"}:
             npt.assert_array_equal(loaded["img"], np.arange(6.0).reshape(2, 3))
-        npt.assert_array_equal(loaded["second"], -np.ones((1, 3)))
+        if image_ids != {"img"}:
+            npt.assert_array_equal(loaded["second"], -np.ones((1, 3)))
 
 
 def cvaf_bytes(records):
@@ -211,6 +220,108 @@ def test_loading_without_ids_builds_every_record(tmp_path):
         for key, features in every.records.items():
             assert loaded[key].dtype == features.dtype == np.float32
             npt.assert_array_equal(loaded[key], features)
+
+
+def recorded_reads(monkeypatch):
+    """The byte count of every read the reader asks the OS for, in order:
+    ``("window", n)`` for a header window, ``("run", n)`` for a payload run."""
+    reads = []
+    pread, preadv = os.pread, os.preadv
+
+    def recording_pread(fd, count, offset):
+        reads.append(("window", count))
+        return pread(fd, count, offset)
+
+    def recording_preadv(fd, buffers, offset):
+        reads.append(("run", sum(memoryview(b).nbytes for b in buffers)))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "pread", recording_pread)
+    monkeypatch.setattr(os, "preadv", recording_preadv)
+    return reads
+
+
+def wide_container_file(tmp_path):
+    """Five records whose payloads are each wider than the header window, so
+    every header is read with a window of its own. Returns the path and
+    each record's header and payload size in bytes."""
+    width = TR._WINDOW // 4 + 1
+    records = [(f"r{n}".encode(), np.full((k, width), float(n))) for n, k in
+               enumerate((1, 2, 1, 3, 2))]
+    path = tmp_path / "wide.cvaf"
+    path.write_bytes(cvaf_bytes(records))
+    return str(path), {name.decode(): (2 + len(name) + 8, 4 * f.size) for name, f in records}
+
+
+@pytest.mark.parametrize("image_ids,runs", [
+    (None, [["r0", "r1", "r2", "r3", "r4"]]),
+    ({"r1", "r2", "r4"}, [["r1", "r2"], ["r4"]]),
+    ({"r0", "r3"}, [["r0"], ["r3"]]),
+    ({"r2"}, [["r2"]]),
+    (set(), []),
+])
+def test_reader_reads_each_run_of_built_records_once(tmp_path, monkeypatch, image_ids, runs):
+    path, sizes = wide_container_file(tmp_path)
+    reads = recorded_reads(monkeypatch)
+    loaded = load_features(path, image_ids)
+    assert list(loaded.records) == [name for run in runs for name in run]
+    # a run spans its payloads and the headers between them
+    expected = [sum(sum(sizes[name]) for name in run) - sizes[run[0]][0] for run in runs]
+    assert [count for kind, count in reads if kind == "run"] == expected
+    kinds = [kind for kind, _ in reads]
+    assert kinds == sorted(kinds, key=lambda kind: kind == "run")  # headers first
+    windows = [count for kind, count in reads if kind == "window"]
+    # one window for magic, version and count, and at most one per header
+    assert len(windows) <= 1 + len(sizes) and max(windows) <= TR._WINDOW
+    assert sum(count for _, count in reads) <= sum(expected) + TR._WINDOW * (1 + len(sizes))
+
+
+@pytest.mark.parametrize("call", ["pread", "preadv"])
+def test_a_short_read_is_a_format_error_naming_the_file(tmp_path, monkeypatch, call):
+    # a file that shrinks after it was opened: the read returns a byte less
+    path, _ = small_container_file(tmp_path)
+    real = getattr(os, call)
+
+    def short(fd, request, offset):
+        if call == "pread":
+            return real(fd, request, offset)[:-1]
+        return real(fd, [memoryview(request[0])[:-1]], offset)
+
+    monkeypatch.setattr(os, call, short)
+    with pytest.raises(FormatError, match=f"{re.escape(path)}: short read of"):
+        load_features(path)
+
+
+RECORD_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ids=st.lists(RECORD_IDS, min_size=1, max_size=8, unique=True),
+       d=st.integers(1, 4), draw=st.data())
+def test_a_subset_loads_as_the_whole_file_restricted_to_it(tmp_path_factory, ids, d, draw):
+    rng = np.random.default_rng(len(ids) * 5 + d)
+    container = FeatureContainer()
+    for image_id in ids:
+        container.add(image_id, rng.standard_normal((draw.draw(st.integers(1, 5)), d)))
+    subset = draw.draw(st.sets(st.sampled_from(ids + ["absent"])))
+    window = draw.draw(st.sampled_from([1, 7, TR._WINDOW]))
+    path = str(tmp_path_factory.mktemp("subset") / "f.cvaf")
+    write_features(container, path)
+    with mock.patch.object(TR, "_WINDOW", window):
+        every = load_features(path)
+        part = load_features(path, subset)
+        assert list(part.records) == [i for i in every.records if i in subset]
+        assert part.feat_dim == every.feat_dim == d
+        for image_id, features in part.records.items():
+            assert features.tobytes() == every[image_id].tobytes()
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:draw.draw(st.integers(0, len(blob) - 1))])
+        messages = set()
+        for image_ids in (None, subset):
+            with pytest.raises(FormatError, match="truncated while reading") as err:
+                load_features(path, image_ids)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
 
 def test_container_validation():

@@ -1,5 +1,6 @@
 """Adam, clipping, dropout, the epoch loop, and checkpoint persistence."""
 
+import json
 import os
 import re
 import stat
@@ -441,6 +442,33 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         npt.assert_array_equal(fresh.store[n].value, model.store[n].value)
         npt.assert_array_equal(fresh.store[n].m, model.store[n].m)
         npt.assert_array_equal(fresh.store[n].v, model.store[n].v)
+
+
+def test_checkpoint_payloads_are_one_read_and_a_short_read_is_refused(tmp_path,
+                                                                       monkeypatch):
+    store = small_store()
+    path = str(tmp_path / "c.cvac")
+    save_checkpoint(store, path)
+    runs, preadv = [], os.preadv
+
+    def recording_preadv(fd, buffers, offset):
+        runs.append(sum(memoryview(b).nbytes for b in buffers))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", recording_preadv)
+    entries = load_checkpoint(path).entries
+    # every payload is kept: one read from the first value to the last second moment
+    first = 12 + 2 + len(store.names()[0]) + 1 + 4 * store[store.names()[0]].value.ndim
+    header = len(json.dumps({}).encode()) + 4 + 8
+    assert runs == [os.path.getsize(path) - first - header]
+    assert not any(a.flags.writeable for arrays in entries.values() for a in arrays)
+
+    def short(fd, buffers, offset):
+        return preadv(fd, [memoryview(buffers[0])[:-8]], offset)
+
+    monkeypatch.setattr(os, "preadv", short)
+    with pytest.raises(CheckpointFormatError, match=f"{re.escape(path)}: short read of"):
+        load_checkpoint(path)
 
 
 def test_gate_interleaved_checkpoint_restores_into_kind_major_store(tmp_path):
