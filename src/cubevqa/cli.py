@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -138,8 +138,9 @@ def _fit(vqa_model, train_set, config, log=None, start_epoch=0):
 
 
 def _load_checkpoint(path):
-    """The checkpoint at ``path`` and what its header records of its training:
-    ``(checkpoint, model_config, vocabulary digests, batch size)``."""
+    """The model the checkpoint at ``path`` holds, restored, and what its
+    header records of its training: ``(model, vocabulary digests, batch
+    size)``. The parsed arrays are freed on return."""
     checkpoint = training.load_checkpoint(path)
     header = checkpoint.header
     try:
@@ -149,13 +150,9 @@ def _load_checkpoint(path):
             f"{path}: bad \"model\" entry in the header: {err!r}") from None
     # checked before any model is built: a header that contradicts the
     # arrays would otherwise allocate the model it describes first
-    expected = {name: shape for name, (shape, _) in model.parameter_layout(model_config).items()}
-    found = {name: value.shape for name, (value, _, _) in checkpoint.entries.items()}
-    if found != expected:
-        name = next(n for n in [*expected, *found] if found.get(n) != expected.get(n))
-        raise training.CheckpointFormatError(
-            f"{path}: the header's model has parameter {name!r} of shape "
-            f"{expected.get(name)}, the file {found.get(name)}")
+    training.check_layout(
+        [(name, shape) for name, (shape, _) in model.parameter_layout(model_config).items()],
+        checkpoint.layout, training.CheckpointFormatError, f"{path}: the header's model")
     digests, batch_size = header.get("vocab_sha256"), header.get("batch_size")
     if (not isinstance(digests, dict) or sorted(digests) != ["answer", "question"]
             or not all(isinstance(d, str) for d in digests.values())):
@@ -165,7 +162,10 @@ def _load_checkpoint(path):
     if type(batch_size) is not int:
         raise training.CheckpointFormatError(
             f"{path}: no integer \"batch_size\" entry in the header")
-    return checkpoint, model_config, digests, batch_size
+    # every value is restored from the checkpoint, so the seed is irrelevant
+    vqa_model = VqaModel(model_config)
+    training.restore_checkpoint(vqa_model.store, checkpoint)
+    return vqa_model, digests, batch_size
 
 
 def _check_vocabularies(model_config, digests, question_vocab, answer_vocab, data_dir):
@@ -191,10 +191,14 @@ def cmd_train(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     config = _train_config(args)
     variant = canonical_variant(args.variant)
-    train_set, test_set = _load_prepared(args.data)
+    if args.resume:
+        vqa_model, digests, trained_batch = _load_checkpoint(args.resume)
+    train_set, test_set = _load_prepared(
+        args.data, trained=(vqa_model.config, digests) if args.resume else None)
     model_config = _model_config(variant, train_set, config,
                                  literal_spatial=args.literal_spatial)
-    vqa_model = VqaModel(model_config, seed=config.seed)
+    if not args.resume:
+        vqa_model = VqaModel(model_config, seed=config.seed)
     if args.embeddings:
         rows = data.load_pretrained_embeddings(args.embeddings,
                                                train_set.question_vocab,
@@ -205,23 +209,17 @@ def cmd_train(args):
         print(f"loaded {len(rows)} pretrained embedding rows")
     start_epoch = 0
     if args.resume:
-        checkpoint, trained_model, trained_digests, trained_batch = _load_checkpoint(
-            args.resume)
-        changed = [f"{name}={value!r}" for name, value in trained_model.to_dict().items()
+        changed = [f"{name}={value!r}" for name, value in vqa_model.config.to_dict().items()
                    if value != getattr(model_config, name)]
         if changed:
             raise InvalidArgumentError(f"checkpoint {args.resume} was trained as another "
                                        f"model: {', '.join(changed)}")
-        _check_vocabularies(trained_model, trained_digests, train_set.question_vocab,
-                            train_set.answer_vocab, args.data)
         # the epoch is derived from the step count, so it needs the batch size
         # the checkpoint was trained with
         if trained_batch != config.batch_size:
             raise InvalidArgumentError(
                 f"checkpoint {args.resume} was trained with batch size {trained_batch}, "
                 f"not {config.batch_size}")
-        training.restore_checkpoint(vqa_model.store, checkpoint)
-        del checkpoint  # its arrays view every payload: free them before training
         steps_per_epoch = -(-train_set.size() // config.batch_size)
         if vqa_model.store.step % steps_per_epoch:
             raise InvalidArgumentError(
@@ -262,13 +260,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    checkpoint, model_config, trained_digests, _ = _load_checkpoint(args.checkpoint)
-    # every value is restored from the checkpoint, so the seed is irrelevant
-    vqa_model = VqaModel(model_config)
-    training.restore_checkpoint(vqa_model.store, checkpoint)
-    del checkpoint  # its arrays view every payload: free them before the data loads
-    (dataset,) = _load_prepared(args.data, (args.split,), model_config.max_question_len,
-                                trained=(model_config, trained_digests))
+    vqa_model, digests, _ = _load_checkpoint(args.checkpoint)
+    (dataset,) = _load_prepared(args.data, (args.split,), vqa_model.config.max_question_len,
+                                trained=(vqa_model.config, digests))
     taxonomy = metrics.Taxonomy.load(args.taxonomy) if args.taxonomy else None
     report = metrics.evaluate(vqa_model, dataset, taxonomy=taxonomy)
     sys.stdout.write(report.to_text())
@@ -294,7 +288,7 @@ def run_ablation(datasets, config, num_seeds, literal_spatial=False, log=None,
     for variant in variants:
         for name, (train_set, test_set) in datasets.items():
             for offset in range(num_seeds):
-                run_config = apply_overrides(config, {"seed": str(config.seed + offset)})
+                run_config = replace(config, seed=config.seed + offset)
                 model_config = _model_config(variant, train_set, run_config,
                                              literal_spatial=literal_spatial)
                 vqa_model = VqaModel(model_config, seed=run_config.seed)

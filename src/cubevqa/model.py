@@ -92,7 +92,7 @@ class ModelConfig:
     # modulation, which shrinks features by ~1/D and leaves the stacked
     # region scorer untrainable at desk scale.
     rescale_channel_gains: bool = True
-    channel_gain_strength: float = 0.1
+    channel_gain_strength: float = attention.DEFAULT_GAIN_STRENGTH
 
     def __post_init__(self):
         # a checkpoint header read back by ``eval`` is outside input: every

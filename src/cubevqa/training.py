@@ -8,15 +8,17 @@ from one seed through named sub-streams (init / shuffle / dropout / data),
 so two runs with identical seed, config, and data produce bitwise-identical
 parameters.
 
-Checkpoints (CVAC version 2) are one self-describing little-endian file:
-magic ``CVAC``, u32 version, u32 entry count, three sections of named arrays
-(values, first moments, second moments; each entry a u16 name length, the
-UTF-8 name, u8 rank, u32 dims, f8 payload), the u64 step counter, then a u32
-byte count and a UTF-8 JSON object, the header (the command line records the
-model config, batch size and vocabulary digests there). Up to the step
-counter this is version 1's layout; version 1 files, which lack the header,
-are refused. A save that fails part way leaves the previous checkpoint in
-place (``atomic_writer``).
+Checkpoints (CVAC version 3) are one little-endian file in the arena's
+layout: magic ``CVAC``, u32 version, u32 entry count, the values as that many
+named arrays in store order (u16 name length, UTF-8 name, u8 rank, u32 dims,
+f8 payload), the first and the second Adam moments as one unnamed block of
+8·N bytes each (N the values' total size, in the same order), the u64 step
+counter, the header (a u32 byte count, then a UTF-8 JSON object recording the
+model config, batch size and vocabulary digests), and a u32 ``zlib.crc32`` of
+step counter and header. A checkpoint fits a model only if the two
+``[(name, shape)]`` lists are equal, order included (``check_layout``).
+Versions 1 and 2, which named every array three times, are refused. A save
+that fails part way leaves the previous checkpoint in place (``atomic_writer``).
 """
 
 import collections
@@ -91,14 +93,8 @@ def glorot_uniform(shape, rng):
     return rng.uniform(-limit, limit, size=shape)
 
 
-@dataclass
-class Param:
-    """One parameter; every field is a view into its store's arena."""
-
-    value: np.ndarray
-    grad: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
+# one parameter: its value and gradient, views into its store's arena
+Param = collections.namedtuple("Param", "value grad")
 
 
 # elements per Adam pass: the chunk's slices of the five vectors stay in
@@ -116,8 +112,8 @@ class ParameterStore:
     rows, so a one-chunk (desk-scale) arena keeps exactly one. Each
     ``Param``'s arrays are views into them and are never rebound, so leaf
     tensors, checkpoint restores and in-place probes that hold a reference
-    keep seeing the live parameter, and the optimizer updates every parameter
-    in a few ufunc passes over the arena.
+    keep seeing the live parameter, and the optimizer updates every parameter,
+    and its moments, in a few ufunc passes over the arena.
     """
 
     def __init__(self, initial_values):
@@ -137,10 +133,9 @@ class ParameterStore:
         offset = 0
         for name, array in arrays.items():
             span = self._spans[name] = slice(offset, offset + array.size)
-            views = [flat[span].reshape(array.shape) for flat in
-                     (self.flat_value, self.flat_grad, self.flat_m, self.flat_v)]
-            views[0][...] = array
-            self._params[name] = Param(*views)
+            self._params[name] = Param(*(flat[span].reshape(array.shape)
+                                         for flat in (self.flat_value, self.flat_grad)))
+            self._params[name].value[...] = array
             offset += array.size
         self.step = 0
 
@@ -362,7 +357,7 @@ def train_epoch(model, dataset, config, epoch):
 
 
 _MAGIC = b"CVAC"
-_VERSION = 2
+_VERSION = 3
 
 
 def _write_entry(fh, name, array):
@@ -407,10 +402,12 @@ def save_checkpoint(store, path, header=None):
     encoded = json.dumps(header or {}, sort_keys=True).encode("utf-8")
     with atomic_writer(path) as fh:
         fh.write(struct.pack("<4sII", _MAGIC, _VERSION, len(names)))
-        for attr in ("value", "m", "v"):
-            for name in names:
-                _write_entry(fh, name, getattr(store[name], attr))
-        fh.write(struct.pack("<QI", store.step, len(encoded)) + encoded)
+        for name in names:
+            _write_entry(fh, name, store[name].value)
+        for moments in (store.flat_m, store.flat_v):
+            fh.write(moments.astype("<f8", copy=False).tobytes())
+        tail = struct.pack("<QI", store.step, len(encoded)) + encoded
+        fh.write(tail + struct.pack("<I", zlib.crc32(tail)))
 
 
 # bytes per header window. Loads at 256 B, 1, 4 and 16 KB (warm, median of 21):
@@ -516,14 +513,18 @@ class ByteReader:
 
 
 def _read_entry(reader):
+    """Step over one named array; returns its ``(name, shape)``."""
     name = reader.name("name")
     (rank,) = reader.unpack("<B", f"rank of {name}")
     shape = reader.unpack(f"<{rank}I", f"dims of {name}")
-    reader.skip(8 * math.prod(shape), f"payload of {name}", (name, shape))
+    reader.skip(8 * math.prod(shape), f"payload of {name}", name)
+    return name, shape
 
 
-# entries: {name: (value, m, v)}, read-only views of one buffer of payloads
-Checkpoint = collections.namedtuple("Checkpoint", "entries step header")
+# a parsed checkpoint: ``layout`` is ``[(name, shape)]`` in file order,
+# ``values`` the arrays in that order, ``moments`` the ``(m, v)`` vectors over
+# them; every array is a read-only view of one buffer of payloads
+Checkpoint = collections.namedtuple("Checkpoint", "layout values moments step header")
 
 
 def load_checkpoint(path):
@@ -531,43 +532,47 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         reader = ByteReader(fh, CheckpointFormatError, _MAGIC, _VERSION)
         (count,) = reader.unpack("<I", "entry count")
-        for _ in range(3 * count):
-            _read_entry(reader)
+        layout = [_read_entry(reader) for _ in range(count)]
+        size = 8 * sum(math.prod(shape) for _, shape in layout)
+        for moment in ("first moments", "second moments"):
+            reader.skip(size, moment, moment)
         (step,) = reader.unpack("<Q", "step counter")
         text = reader.name("header", "<I")
-        arrays = [(name, np.frombuffer(payload, dtype="<f8").reshape(shape))
-                  for (name, shape), payload in reader.finish()]
+        encoded = text.encode("utf-8")
+        (crc,) = reader.unpack("<I", "checksum")
+        if zlib.crc32(struct.pack("<QI", step, len(encoded)) + encoded) != crc:
+            raise CheckpointFormatError(f"{path}: step counter or header fails its checksum")
+        *values, m, v = [np.frombuffer(payload, dtype="<f8") for _, payload in reader.finish()]
     try:
         header = json.loads(text)
     except (ValueError, RecursionError) as err:
         raise CheckpointFormatError(f"{path}: header is not JSON: {err}") from None
     if not isinstance(header, dict):
         raise CheckpointFormatError(f"{path}: header is not a JSON object")
-    sections = [dict(arrays[i * count:(i + 1) * count]) for i in range(3)]
-    values, first, second = sections
-    if any(len(section) != count or section.keys() != values.keys() for section in sections):
-        raise CheckpointFormatError(f"{path}: a section repeats a name or names other "
-                                    f"parameters than the values")
-    entries = {name: (values[name], first[name], second[name]) for name in values}
-    return Checkpoint(entries, step, header)
+    values = [value.reshape(shape) for value, (_, shape) in zip(values, layout)]
+    return Checkpoint(layout, values, (m, v), step, header)
+
+
+def check_layout(model, found, error, what):
+    """The one rule by which a checkpoint fits a model: ``found``, the file's
+    ``[(name, shape)]``, equals ``model``'s, order included. Otherwise raises
+    ``error``, prefixed with ``what``, naming the first entry that differs."""
+    def entry(pair):
+        return "nothing" if pair is None else f"parameter {pair[0]!r} of shape {pair[1]}"
+
+    for at, (want, got) in enumerate(itertools.zip_longest(model, found)):
+        if want != got:
+            raise error(f"{what}: at position {at} the model has {entry(want)}, "
+                        f"the file {entry(got)}")
 
 
 def restore_checkpoint(store, checkpoint):
-    """Copy a loaded ``Checkpoint`` into an existing store, validating names
-    and shapes."""
-    entries = checkpoint.entries
-    names = set(store.names())
-    if set(entries) != names:
-        missing = sorted(names - set(entries))
-        extra = sorted(set(entries) - names)
-        raise ShapeError(
-            f"checkpoint does not match architecture: missing {missing}, unexpected {extra}")
-    for name, (value, m, v) in entries.items():
-        p = store[name]
-        if value.shape != p.value.shape:
-            raise ShapeError(
-                f"checkpoint parameter {name!r} has shape {value.shape}, "
-                f"model expects {p.value.shape}")
-        p.value[...], p.m[...], p.v[...] = value, m, v
+    """Copy a loaded ``Checkpoint`` into a store of its layout: one copy per
+    value, one per moment vector."""
+    check_layout([(name, store[name].value.shape) for name in store.names()],
+                 checkpoint.layout, ShapeError, "checkpoint")
+    for name, value in zip(store.names(), checkpoint.values):
+        store[name].value[...] = value
+    store.flat_m[...], store.flat_v[...] = checkpoint.moments
     store.flat_grad.fill(0.0)
     store.step = checkpoint.step

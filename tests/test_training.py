@@ -99,9 +99,10 @@ def test_adam_matches_per_array_form_across_chunks():
         adam_step(store, config)
     for n in shapes:
         npt.assert_array_equal(store[n].value, ref[n][0])
-        npt.assert_array_equal(store[n].m, ref[n][1])
-        npt.assert_array_equal(store[n].v, ref[n][2])
         npt.assert_array_equal(store[n].grad, 0.0)
+    # the moments are two arena vectors, laid out in store order
+    for flat, k in ((store.flat_m, 1), (store.flat_v, 2)):
+        npt.assert_array_equal(flat, np.concatenate([ref[n][k].ravel() for n in shapes]))
 
 
 def test_adam_is_bit_identical_at_any_core_count(monkeypatch):
@@ -438,10 +439,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     save_checkpoint(fresh.store, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     assert fresh.store.step == model.store.step
-    for n in model.store.names():
-        npt.assert_array_equal(fresh.store[n].value, model.store[n].value)
-        npt.assert_array_equal(fresh.store[n].m, model.store[n].m)
-        npt.assert_array_equal(fresh.store[n].v, model.store[n].v)
+    npt.assert_array_equal(fresh.store.flat_value, model.store.flat_value)
+    npt.assert_array_equal(fresh.store.flat_m, model.store.flat_m)
+    npt.assert_array_equal(fresh.store.flat_v, model.store.flat_v)
 
 
 def test_checkpoint_payloads_are_one_read_and_a_short_read_is_refused(tmp_path,
@@ -456,12 +456,13 @@ def test_checkpoint_payloads_are_one_read_and_a_short_read_is_refused(tmp_path,
         return preadv(fd, buffers, offset)
 
     monkeypatch.setattr(os, "preadv", recording_preadv)
-    entries = load_checkpoint(path).entries
-    # every payload is kept: one read from the first value to the last second moment
+    checkpoint = load_checkpoint(path)
+    # every payload is kept: one read from the first value to the end of the
+    # second moments, before the step counter, header and checksum
     first = 12 + 2 + len(store.names()[0]) + 1 + 4 * store[store.names()[0]].value.ndim
-    header = len(json.dumps({}).encode()) + 4 + 8
-    assert runs == [os.path.getsize(path) - first - header]
-    assert not any(a.flags.writeable for arrays in entries.values() for a in arrays)
+    tail = 8 + 4 + len(json.dumps({}).encode()) + 4
+    assert runs == [os.path.getsize(path) - first - tail]
+    assert not any(a.flags.writeable for a in [*checkpoint.values, *checkpoint.moments])
 
     def short(fd, buffers, offset):
         return preadv(fd, [memoryview(buffers[0])[:-8]], offset)
@@ -471,34 +472,24 @@ def test_checkpoint_payloads_are_one_read_and_a_short_read_is_refused(tmp_path,
         load_checkpoint(path)
 
 
-def test_gate_interleaved_checkpoint_restores_into_kind_major_store(tmp_path):
-    # checkpoints written while the store registered the encoder gate by gate
-    # (w, u, b of the update gate, then of reset, then of cand) restore by name
+def test_checkpoint_in_another_name_order_is_refused(tmp_path):
+    # the order in which the store registered the encoder gate by gate (w, u,
+    # b of the update gate, then of reset, then of cand): the same names and
+    # shapes, but not the store's layout, so not restored by name
     model = VqaModel(ModelConfig(variant="cva", vocab_size=7, num_answers=5,
                                  feat_dim=6), seed=5)
     gates = [f"enc.{kind}_{gate}" for gate in ("update", "reset", "cand")
              for kind in ("w", "u", "b")]
     names = ["enc.embed"] + gates + model.store.names()[10:]
     assert sorted(names) == sorted(model.store.names()) and names != model.store.names()
-    rng = np.random.default_rng(6)
-    sections = [{n: rng.standard_normal(model.store[n].value.shape) for n in names}
-                for _ in range(3)]
-    blob = [b"CVAC", struct.pack("<II", 2, len(names))]
-    for section in sections:
-        for name, array in section.items():
-            encoded = name.encode("utf-8")
-            blob += [struct.pack("<H", len(encoded)), encoded,
-                     struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape),
-                     array.astype("<f8").tobytes()]
-    blob.append(struct.pack("<QI", 42, 2) + b"{}")
-    path = tmp_path / "interleaved.cvac"
-    path.write_bytes(b"".join(blob))
-    assert list(load_checkpoint(str(path))[0]) == names
-    restore_checkpoint(model.store, load_checkpoint(str(path)))
-    assert model.store.step == 42
-    for attr, section in zip(("value", "m", "v"), sections):
-        for name, array in section.items():
-            assert getattr(model.store[name], attr).tobytes() == array.tobytes(), name
+    store = ParameterStore({n: model.store[n].value for n in names})
+    path = str(tmp_path / "interleaved.cvac")
+    save_checkpoint(store, path)
+    before = model.store.flat_value.copy()
+    with pytest.raises(ShapeError, match="at position 2 the model has parameter "
+                                         "'enc.w_reset'.*the file parameter 'enc.u_update'"):
+        restore_checkpoint(model.store, load_checkpoint(path))
+    npt.assert_array_equal(model.store.flat_value, before)
 
 
 def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -513,7 +504,7 @@ def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
 
     def failing_write_entry(fh, name, array):
         calls.append(name)
-        if len(calls) == 5:
+        if len(calls) == 3:
             raise OSError("disk full")
         real_write_entry(fh, name, array)
 
@@ -522,9 +513,9 @@ def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
         save_checkpoint(store, path)
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["c.cvac"]
-    entries, step, _ = load_checkpoint(path)
-    assert step == 7
-    npt.assert_array_equal(entries["a"][0], old_a)
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.step == 7 and checkpoint.layout[0][0] == "a"
+    npt.assert_array_equal(checkpoint.values[0], old_a)
 
 
 def test_atomic_writer_fsyncs_file_before_rename_and_directory_after(tmp_path,
@@ -548,7 +539,7 @@ def test_atomic_writer_fsyncs_file_before_rename_and_directory_after(tmp_path,
     store = small_store(seed=1)
     save_checkpoint(store, path)
     assert events == ["fsync file", "replace", "fsync dir"]
-    npt.assert_array_equal(load_checkpoint(path)[0]["a"][0], store["a"].value)
+    npt.assert_array_equal(load_checkpoint(path).values[0], store["a"].value)
 
     # a write whose fsync fails leaves the previous file and no temporary
     save_checkpoint(small_store(), path)
@@ -618,17 +609,21 @@ def test_checkpoint_non_utf8_name_is_format_error(tmp_path):
     assert "UTF-8" in str(err.value) and "byte 14" in str(err.value)
 
 
-def test_checkpoint_sections_name_the_same_parameters_once(tmp_path):
+def test_checkpoint_moments_are_two_unnamed_blocks_in_store_order(tmp_path):
+    store = small_store()
+    rng = np.random.default_rng(4)
+    store.flat_m[...] = rng.standard_normal(store.flat_m.size)
+    store.flat_v[...] = rng.random(store.flat_v.size)
     path = str(tmp_path / "s.cvac")
-    save_checkpoint(small_store(), path)
+    save_checkpoint(store, path)
     blob = open(path, "rb").read()
-    # the first-moment section follows the 12-byte prefix and the value
-    # entries a (60 bytes), b (40) and c (12); its "b" is at byte 186
-    assert blob[186:187] == b"b"
-    for name in (b"a", b"d"):  # a repeated name, a name the values lack
-        open(path, "wb").write(blob[:186] + name + blob[187:])
-        with pytest.raises(CheckpointFormatError, match="section"):
-            load_checkpoint(path)
+    # the 12-byte prefix and the value entries a (60 bytes), b (40) and c (12),
+    # then m and v with no names or shapes, then the step counter
+    blocks = store.flat_m.astype("<f8").tobytes() + store.flat_v.astype("<f8").tobytes()
+    assert blob[124:124 + len(blocks)] == blocks
+    assert blob[124 + len(blocks):132 + len(blocks)] == struct.pack("<Q", store.step)
+    m, v = load_checkpoint(path).moments
+    assert m.tobytes() == store.flat_m.tobytes() and v.tobytes() == store.flat_v.tobytes()
 
 
 def test_checkpoint_oversized_dims_are_format_error(tmp_path):
@@ -683,6 +678,6 @@ def test_resume_matches_uninterrupted_run():
         TR.train_epoch(resumed, prepared, config, epoch)
 
     assert resumed.store.step == full.store.step
-    for n in full.store.names():
-        npt.assert_array_equal(resumed.store[n].value, full.store[n].value)
-        npt.assert_array_equal(resumed.store[n].m, full.store[n].m)
+    npt.assert_array_equal(resumed.store.flat_value, full.store.flat_value)
+    npt.assert_array_equal(resumed.store.flat_m, full.store.flat_m)
+    npt.assert_array_equal(resumed.store.flat_v, full.store.flat_v)
