@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -84,7 +84,8 @@ def cmd_synth(args):
 # shared loading
 
 
-def _load_prepared(data_dir, splits=("train", "test"), max_question_len=26, trained=None):
+def _load_prepared(data_dir, splits=("train", "test"), max_question_len=data.MAX_QUESTION_LEN,
+                   trained=None):
     """One ``PreparedDataset`` per named split; other splits are not read.
 
     The vocabularies are checked against ``trained``, a checkpoint's
@@ -111,10 +112,7 @@ def _load_prepared(data_dir, splits=("train", "test"), max_question_len=26, trai
 
 def _train_config(args):
     config = training.parse_config_file(args.config) if args.config else TrainConfig()
-    overrides = dict(learning_rate=args.lr, batch_size=args.batch_size,
-                     epochs=args.epochs, clip_norm=args.clip_norm,
-                     dropout=args.dropout, seed=args.seed, profile=args.profile)
-    return apply_overrides(config, {k: v for k, v in overrides.items() if v is not None})
+    return apply_overrides(config, {f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _model_config(variant, train_set, config, literal_spatial=False):
@@ -427,7 +425,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic diagnostic dataset")
-    p.add_argument("--task", choices=("spatial", "channel", "mixed"), required=True)
+    p.add_argument("--task", choices=data.TOY_TASKS, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--size", type=int, default=2000)
     p.add_argument("--k", type=int, default=6)
@@ -436,14 +434,15 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     def add_train_flags(q):
+        # one flag per TrainConfig field, its dest the field's name
         q.add_argument("--config", default=None, help="key = value config file")
-        q.add_argument("--lr", default=None)
+        q.add_argument("--lr", dest="learning_rate", default=None)
         q.add_argument("--batch-size", dest="batch_size", default=None)
         q.add_argument("--epochs", default=None)
         q.add_argument("--clip-norm", dest="clip_norm", default=None)
         q.add_argument("--dropout", default=None)
         q.add_argument("--seed", default=None)
-        q.add_argument("--profile", choices=("desk", "full"), default=None)
+        q.add_argument("--profile", choices=tuple(training.DIMENSION_PROFILES), default=None)
         q.add_argument("--literal-spatial", action="store_true",
                        help="score regions with the question term outside the "
                             "tanh (weights become question-independent)")

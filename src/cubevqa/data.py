@@ -35,6 +35,8 @@ from .training import ByteReader, FormatError, open_text, substream
 
 UNKNOWN_TOKEN = "<unk>"
 HUMAN_ANSWERS_PER_QUESTION = 10
+MAX_QUESTION_LEN = 26  # tokens; a longer question is refused
+TOY_TASKS = ("spatial", "channel", "mixed")
 
 COLOR_WORDS = ("red", "green", "blue", "yellow", "purple", "orange", "cyan", "magenta")
 FAMILIES = (
@@ -206,8 +208,16 @@ def write_vocab(vocab, path):
 
 
 def load_vocab(path):
+    """One entry per non-empty line; an entry listed twice is refused."""
+    lines = {}  # entry: its line number
     with open_text(path) as fh:
-        vocab = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        for lineno, raw in enumerate(fh, 1):
+            token = raw.rstrip("\n")
+            if token in lines:
+                raise FormatError(f"{path}:{lineno}: {token!r} repeats line {lines[token]}")
+            if token:
+                lines[token] = lineno
+    vocab = list(lines)
     if not vocab or vocab[0] != UNKNOWN_TOKEN:
         raise FormatError(f"{path}: vocabulary must start with {UNKNOWN_TOKEN!r}")
     return vocab
@@ -336,14 +346,6 @@ def _toy_image(layout, rng):
     return features, colors, attributes
 
 
-def spatial_question(region):
-    return ["what", "color", "is", "region", str(region)]
-
-
-def channel_question(family_name):
-    return ["what", family_name, "is", "the", "image"]
-
-
 def generate_toy_dataset(task, size, k, d, seed, split="train"):
     """Seeded toy dataset: features, labeled examples, and vocabularies.
 
@@ -351,7 +353,7 @@ def generate_toy_dataset(task, size, k, d, seed, split="train"):
     ten human answers equal the true answer. Identical arguments produce
     identical bytes on disk.
     """
-    if task not in ("spatial", "channel", "mixed"):
+    if task not in TOY_TASKS:
         raise InvalidArgumentError(f"unknown task {task!r}")
     if size < 1:
         raise InvalidArgumentError(f"dataset size must be >= 1, got {size}")
@@ -359,8 +361,6 @@ def generate_toy_dataset(task, size, k, d, seed, split="train"):
     rng = substream(seed, "data", task, split)
     container = FeatureContainer()
     examples = []
-    family_names = [FAMILIES[i][0] for i in range(layout.num_families)]
-    family_values = [FAMILIES[i][1] for i in range(layout.num_families)]
     for n in range(size):
         image_id = f"{split}_{n:06d}"
         features, colors_by_identity, attributes = _toy_image(layout, rng)
@@ -371,14 +371,14 @@ def generate_toy_dataset(task, size, k, d, seed, split="train"):
             kind = task
         if kind == "spatial":
             region = int(rng.integers(0, layout.num_regions))
-            tokens = spatial_question(region)
+            tokens = ["what", "color", "is", "region", str(region)]
             answer = COLOR_WORDS[colors_by_identity[region]]
         else:
             fam = int(rng.integers(0, layout.num_families))
-            tokens = channel_question(family_names[fam])
-            answer = family_values[fam][attributes[fam]]
-        examples.append(VqaExample(image_id, tokens,
-                                   [answer] * HUMAN_ANSWERS_PER_QUESTION))
+            family, values = FAMILIES[fam]
+            tokens = ["what", family, "is", "the", "image"]
+            answer = values[attributes[fam]]
+        examples.append(VqaExample(image_id, tokens, [answer] * HUMAN_ANSWERS_PER_QUESTION))
     question_vocab, answer_vocab = build_vocab(examples)
     assign_labels(examples, answer_vocab)
     return ToyBundle(task, layout, container, examples, question_vocab, answer_vocab)
@@ -425,7 +425,8 @@ class PreparedDataset:
                       labels=self.labels[chosen], region_counts=counts)]
 
 
-def prepare_dataset(container, examples, question_vocab, answer_vocab, max_question_len=26):
+def prepare_dataset(container, examples, question_vocab, answer_vocab,
+                    max_question_len=MAX_QUESTION_LEN):
     """Join examples with features and encode tokens/labels for training."""
     index = {tok: i for i, tok in enumerate(question_vocab)}
     features = []

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import HUMAN_ANSWERS_PER_QUESTION
 from .tensor import InvalidArgumentError
 from .training import open_text
 
@@ -29,9 +30,9 @@ def normalize_answer(answer):
 
 def vqa_accuracy(predicted, human_answers):
     """Consensus score of one prediction against exactly ten human answers."""
-    if len(human_answers) != 10:
-        raise InvalidArgumentError(
-            f"consensus accuracy needs exactly 10 human answers, got {len(human_answers)}")
+    if len(human_answers) != HUMAN_ANSWERS_PER_QUESTION:
+        raise InvalidArgumentError(f"consensus accuracy needs {HUMAN_ANSWERS_PER_QUESTION} "
+                                   f"human answers, got {len(human_answers)}")
     target = normalize_answer(predicted)
     matches = sum(1 for ans in human_answers if normalize_answer(ans) == target)
     return min(matches / 3.0, 1.0)

@@ -28,8 +28,10 @@ import numpy as np
 
 from . import attention, classifier, encoder
 from . import tensor as T
+from .data import MAX_QUESTION_LEN
 from .tensor import InvalidArgumentError, Tensor
-from .training import ParameterStore, dropout_mask, glorot_uniform, substream
+from .training import (DIMENSION_PROFILES, ParameterStore, dropout_mask, glorot_uniform,
+                       substream)
 
 # a variant is the order in which ``attention.attend`` runs its stages; a
 # stage's name is also the prefix of the parameter group it reads
@@ -50,13 +52,6 @@ STACKED_LEAVES = {"enc.w_input": tuple(f"enc.w_{gate}" for gate in GRU_GATES),
 # question, 1 attends, 2 scores the answers and takes the loss
 STAGE_OF_GROUP = {"enc": 0, "chan": 1, "spat": 1, "clf": 2}
 
-DIMENSION_PROFILES = {
-    # desk attn_dim 64: at 32 the region scorer reliably stalls short of the
-    # diagnostic-task targets within the 30-epoch budget
-    "desk": dict(embed_dim=16, hidden_dim=64, attn_dim=64, fuse_dim=64),
-    "full": dict(embed_dim=300, hidden_dim=1024, attn_dim=1024, fuse_dim=1024),
-}
-
 
 def canonical_variant(name):
     """Normalize a variant name; accepts the R-CVA alias for ``cva-v``."""
@@ -75,15 +70,20 @@ _ACCEPTED = {int: numbers.Integral, float: numbers.Real}
 
 @dataclass
 class ModelConfig:
+    """A model's variant, sizes and forward options; the dimension defaults
+    are the desk row of ``DIMENSION_PROFILES``."""
+
     variant: str
     vocab_size: int
     num_answers: int
     feat_dim: int
     embed_dim: int = 16
     hidden_dim: int = 64
-    attn_dim: int = 32
+    # 64: at 32 the region scorer reliably stalls short of the
+    # diagnostic-task targets within the 30-epoch budget
+    attn_dim: int = 64
     fuse_dim: int = 64
-    max_question_len: int = 26
+    max_question_len: int = MAX_QUESTION_LEN
     # Question-aware region scoring (tanh around the summed visual and
     # question terms). False keeps the question term outside the tanh, where
     # it cancels under softmax and the weights become question-independent.
@@ -112,9 +112,7 @@ class ModelConfig:
     def from_profile(cls, profile, **kwargs):
         if profile not in DIMENSION_PROFILES:
             raise InvalidArgumentError(f"unknown dimension profile {profile!r}")
-        merged = dict(DIMENSION_PROFILES[profile])
-        merged.update(kwargs)
-        return cls(**merged)
+        return cls(**{**DIMENSION_PROFILES[profile], **kwargs})
 
     def to_dict(self):
         return asdict(self)
@@ -264,7 +262,7 @@ class VqaModel:
                                                   batch.lengths)
         attended, beta, eta = self._attend(tape, batch, question, chan, spat)
         mask = None
-        if dropout_rate > 0.0 and dropout_rng is not None:
+        if dropout_rate > 0.0:
             mask = T.constant(dropout_mask((batch.labels.size, self.config.fuse_dim),
                                            dropout_rate, dropout_rng))
         scores = classifier.answer_scores(tape, attended, question, clf,

@@ -100,6 +100,8 @@ Param = collections.namedtuple("Param", "value grad")
 # elements per Adam pass: the chunk's slices of the five vectors stay in
 # cache across the dozen ufunc passes, and a desk-scale arena is one chunk
 _ADAM_CHUNK = 1 << 16
+# Adam's moment decays and denominator offset, fixed at Kingma & Ba's defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ParameterStore:
@@ -201,27 +203,26 @@ def adam_step(store, config, grad_norm=None):
         raise InvalidArgumentError(f"non-finite gradient for parameter {name!r}")
     store.step += 1
     t = store.step
-    b1, b2 = config.beta1, config.beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
 
     def update(run_index, starts):
         for start in starts:
             span = slice(start, start + _ADAM_CHUNK)
             g, m, v = store.flat_grad[span], store.flat_m[span], store.flat_v[span]
             s = store.adam_scratch[run_index, :g.size]
-            np.multiply(g, 1.0 - b1, out=s)
-            m *= b1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m *= ADAM_BETA1
             m += s
             np.multiply(g, g, out=s)
-            s *= 1.0 - b2
-            v *= b2
+            s *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += s
             np.divide(m, bias1, out=s)
             s *= config.learning_rate
             np.divide(v, bias2, out=g)
             np.sqrt(g, out=g)
-            g += config.eps
+            g += ADAM_EPS
             s /= g
             store.flat_value[span] -= s
             g.fill(0.0)
@@ -230,11 +231,13 @@ def adam_step(store, config, grad_norm=None):
 
 
 def dropout_mask(shape, rate, rng):
-    """Pre-scaled keep mask for inverted dropout."""
+    """Pre-scaled keep mask for inverted dropout, drawn from ``rng``."""
     if not 0.0 <= rate < 1.0:
         raise InvalidArgumentError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return np.ones(shape)
+    if rng is None:
+        raise InvalidArgumentError(f"dropout at rate {rate} needs a random generator")
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
@@ -243,20 +246,22 @@ def dropout_mask(shape, rate, rng):
 # configuration
 
 
+# the ModelConfig overrides of each TrainConfig.profile; desk is ModelConfig's defaults
+DIMENSION_PROFILES = {"desk": {}, "full": dict(embed_dim=300, hidden_dim=1024,
+                                               attn_dim=1024, fuse_dim=1024)}
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer and loop settings; all fields may come from a config file.
+    """The seven training settings, each both a config-file key and a
+    ``train``/``ablate`` flag; Adam's betas and epsilon are fixed (``ADAM_*``).
 
     The defaults are the conventional full-scale settings (batch 256 as in
     the training regime the model targets; lr/clip/dropout are standard
-    values, not published ones). Desk-scale runs override them; see
-    ``configs/desk.cfg``.
+    values, not published ones); ``configs/desk.cfg`` holds the desk ones.
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 256
     epochs: int = 30
     clip_norm: float = 10.0
@@ -269,17 +274,13 @@ class TrainConfig:
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise InvalidArgumentError(
                     f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise InvalidArgumentError("Adam betas must lie in (0, 1)")
-        if self.learning_rate < 0 or self.eps <= 0:
-            raise InvalidArgumentError("learning rate must be >= 0 and eps > 0")
+        if self.learning_rate < 0 or self.clip_norm <= 0:
+            raise InvalidArgumentError("learning rate must be >= 0 and clip norm positive")
         if self.batch_size < 1 or self.epochs < 0:
             raise InvalidArgumentError("batch size must be >= 1 and epochs >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidArgumentError("dropout rate must be in [0, 1)")
-        if self.clip_norm <= 0:
-            raise InvalidArgumentError("clip norm must be positive")
-        if self.profile not in ("desk", "full"):
+        if self.profile not in DIMENSION_PROFILES:
             raise InvalidArgumentError(f"unknown profile {self.profile!r}")
         return self
 

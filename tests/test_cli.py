@@ -178,6 +178,33 @@ def test_train_config_file_with_flag_override(tiny_dataset, tmp_path, capsys):
     assert manifest["train_config"]["batch_size"] == 8
 
 
+SETTINGS = ["learning_rate", "batch_size", "epochs", "clip_norm", "dropout", "seed", "profile"]
+
+
+def test_the_seven_settings_are_the_fields_the_config_keys_and_the_flags(tmp_path, capsys):
+    assert [f.name for f in dataclasses.fields(training.TrainConfig)] == SETTINGS
+    values = dict(learning_rate="0.5", batch_size="3", epochs="2", clip_norm="4.0",
+                  dropout="0.25", seed="9", profile="full")
+    expected = training.apply_overrides(training.TrainConfig(), values)
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    assert training.parse_config_file(str(cfg)) == expected
+    flags = ["--lr", "0.5", "--batch-size", "3", "--epochs", "2", "--clip-norm", "4.0",
+             "--dropout", "0.25", "--seed", "9", "--profile", "full"]
+    for command in (["train", "--variant", "cva"], ["ablate"]):
+        args = cli.build_parser().parse_args(command + ["--data", "d"] + flags)
+        assert set(SETTINGS) <= set(vars(args))
+        assert cli._train_config(args) == expected
+    # Adam's betas and epsilon are constants, not keys
+    cfg.write_text("beta1 = 0.9\n")
+    assert run(["train", "--variant", "cva", "--data", str(tmp_path), "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 3
+    assert "unknown config key 'beta1'" in capsys.readouterr().err
+    # the ModelConfig defaults are the desk dimensions
+    sizes = dict(variant="cva", vocab_size=7, num_answers=5, feat_dim=6)
+    assert ModelConfig(**sizes) == ModelConfig.from_profile("desk", **sizes)
+
+
 def test_train_non_numeric_values_exit_three(tiny_dataset, tmp_path, capsys):
     out = str(tmp_path / "bad")
     for flags in (["--lr", "abc"], ["--epochs", "1.5"]):
@@ -388,6 +415,29 @@ def test_eval_vocabulary_mismatch(trained_run, tiny_dataset, tmp_path, capsys):
                 "--data", longer, "--csv", str(tmp_path / "longer.csv")]) == 3
     assert ("answer vocabulary (answer_vocab.txt) has 14 entries; the model was "
             "trained with 13") in capsys.readouterr().err
+
+
+def test_eval_refuses_a_vocabulary_that_lists_an_entry_twice(tiny_dataset, tmp_path, capsys):
+    # mapped through a dict, a repeated answer's later id would win, and the
+    # answer would be two output classes. The checkpoint is built for the
+    # repeating vocabulary, so its digests match and only the repeat is wrong.
+    repeated = str(tmp_path / "repeated")
+    shutil.copytree(tiny_dataset, repeated)
+    path = os.path.join(repeated, "answer_vocab.txt")
+    answers = data.load_vocab(path)
+    answers.append(answers[1])
+    data.write_vocab(answers, path)
+    questions = data.load_vocab(os.path.join(repeated, "question_vocab.txt"))
+    config = ModelConfig(variant="cva", vocab_size=len(questions), num_answers=len(answers),
+                         feat_dim=16)
+    checkpoint = str(tmp_path / "checkpoint.cvac")
+    training.save_checkpoint(VqaModel(config).store, checkpoint, {
+        "model": config.to_dict(), "batch_size": 8,
+        "vocab_sha256": {"question": data.vocab_digest(questions),
+                         "answer": data.vocab_digest(answers)}})
+    assert run(["eval", "--checkpoint", checkpoint, "--data", repeated,
+                "--csv", str(tmp_path / "r.csv")]) == 2
+    assert f"{path}:{len(answers)}: {answers[1]!r} repeats line 2" in capsys.readouterr().err
 
 
 def test_eval_refuses_another_vocabulary_before_reading_features(

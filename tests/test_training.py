@@ -17,7 +17,7 @@ import pytest
 import cubevqa.tensor as T
 import cubevqa.training as TR
 from cubevqa import data
-from cubevqa.model import ModelConfig, VqaModel
+from cubevqa.model import Batch, ModelConfig, VqaModel
 from cubevqa.tensor import InvalidArgumentError, ShapeError
 from cubevqa.training import (CheckpointFormatError, ParameterStore, TrainConfig,
                               adam_step, clip_gradients, dropout_mask,
@@ -85,7 +85,7 @@ def test_adam_matches_per_array_form_across_chunks():
     store = ParameterStore({n: rng.standard_normal(s) for n, s in shapes.items()})
     ref = {n: [store[n].value.copy(), np.zeros(s), np.zeros(s)] for n, s in shapes.items()}
     config = TrainConfig(learning_rate=0.01)
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = TR.ADAM_BETA1, TR.ADAM_BETA2
     for t in range(1, 4):
         for n, s in shapes.items():
             grad = rng.standard_normal(s)
@@ -95,7 +95,7 @@ def test_adam_matches_per_array_form_across_chunks():
             v[...] = b2 * v + (1.0 - b2) * (grad * grad)
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            value[...] = value - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+            value[...] = value - config.learning_rate * m_hat / (np.sqrt(v_hat) + TR.ADAM_EPS)
         adam_step(store, config)
     for n in shapes:
         npt.assert_array_equal(store[n].value, ref[n][0])
@@ -189,6 +189,15 @@ def test_dropout_rejects_rate_one():
         dropout_mask((3,), 1.0, np.random.default_rng(0))
 
 
+def test_dropout_without_a_generator_is_refused():
+    # a positive rate with no generator would otherwise train with no dropout
+    model = VqaModel(ModelConfig(variant="cva", vocab_size=7, num_answers=5, feat_dim=6))
+    batch = Batch.of_one(np.ones((3, 6)), [1, 2], 4)
+    with pytest.raises(InvalidArgumentError, match="needs a random generator"):
+        model.train_step_forward_backward([batch], dropout_rate=0.5)
+    npt.assert_array_equal(model.store.flat_grad, 0.0)
+
+
 def test_dropout_monte_carlo_mean_preserved():
     rng = np.random.default_rng(7)
     x = np.array([1.0, -2.0, 0.5])
@@ -240,7 +249,6 @@ def test_config_validation():
         TrainConfig(profile="gpu").validate()
     # NaN fails every comparison, so it would slip past the range checks
     for field, value in (("learning_rate", float("nan")), ("learning_rate", float("inf")),
-                         ("eps", float("nan")), ("eps", float("inf")),
                          ("clip_norm", float("nan")), ("clip_norm", float("inf"))):
         with pytest.raises(InvalidArgumentError) as err:
             TrainConfig(**{field: value}).validate()
